@@ -74,7 +74,9 @@
 //!   connections map onto the [`request::Client`] lifecycle so
 //!   deadlines, priorities, cancellation, and shed-with-retry-hint
 //!   travel over the wire as typed responses; plus a minimal HTTP/1.1
-//!   shim for `/metrics` and `/healthz` on the same port.
+//!   shim for `/metrics` and `/healthz` on the same port. The
+//!   accept/sniff/dispatch loop behind that port is one private module
+//!   (`frontend`) that the router's port reuses over its own backend.
 //! - [`router`] — the shard router (`patdnn-router`): consistent
 //!   hashing of models over a replica fleet, per-replica in-flight
 //!   accounting, retry-on-shed to the next replica, and health-based
@@ -116,6 +118,7 @@ pub mod artifact;
 pub mod batching;
 pub mod compile;
 pub mod engine;
+mod frontend;
 pub mod metrics;
 pub mod net;
 pub mod quant;

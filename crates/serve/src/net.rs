@@ -1,7 +1,9 @@
 //! The std-only TCP front-end: `patdnn-serve --listen`.
 //!
 //! A [`NetServer`] binds one TCP port and speaks two protocols,
-//! distinguished by sniffing the first bytes of each connection:
+//! distinguished by sniffing the first bytes of each connection (the
+//! accept/sniff/dispatch loop itself is `serve::frontend`, shared with
+//! the router's port; this module supplies its local backend):
 //!
 //! - the binary wire protocol ([`crate::wire`], connections opening
 //!   with the `PDNW` magic): inference requests with deadline,
@@ -26,19 +28,18 @@
 //! to forward requests, by the loopback tests, and by anything else
 //! that wants typed outcomes ([`WireOutcome`]) over TCP.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use patdnn_tensor::Tensor;
 
+use crate::frontend::{Backend, Frontend, InferRequest, MetricsText, Waiter};
 use crate::metrics::MetricsSnapshot;
-use crate::request::{CancelToken, Client, Priority, Terminal};
+use crate::request::{CancelToken, Client, Priority};
 use crate::server::Server;
-use crate::wire::{self, duration_to_us, read_frame, write_frame, Frame, WireError, WIRE_MAGIC};
+use crate::wire::{self, duration_to_us, read_frame, write_frame, Frame, WireError};
 use crate::ServeError;
 
 /// Network front-end knobs.
@@ -58,80 +59,23 @@ impl Default for NetServerConfig {
     }
 }
 
-/// Counts in-flight response-waiter threads so shutdown can wait for
-/// every response to be written before the process exits. Shared with
-/// the router front-end.
-#[derive(Default)]
-pub(crate) struct WaitGroup {
-    // lock: waitgroup-count
-    count: Mutex<usize>,
-    zero: Condvar,
-}
-
-impl WaitGroup {
-    pub(crate) fn add(&self) {
-        *self.count.lock().expect("waitgroup lock") += 1;
-    }
-
-    pub(crate) fn done(&self) {
-        let mut n = self.count.lock().expect("waitgroup lock");
-        *n -= 1;
-        if *n == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    pub(crate) fn wait(&self) {
-        let mut n = self.count.lock().expect("waitgroup lock");
-        while *n > 0 {
-            n = self.zero.wait(n).expect("waitgroup lock");
-        }
-    }
-}
-
-/// State shared by every connection handler.
-struct NetShared {
-    client: Client,
-    cfg: NetServerConfig,
-    /// Set when a shutdown frame arrives; the accept loop exits on the
-    /// next wake-up.
-    stop: AtomicBool,
-    /// Whether the stop should drain queued work (vs fail it typed).
-    drain: AtomicBool,
-    waiters: WaitGroup,
-    local_addr: SocketAddr,
-}
-
-/// A TCP front-end wrapping a running [`Server`].
+/// A TCP front-end wrapping a running [`Server`]: the shared
+/// `serve::frontend` loop backed by the server's [`Client`].
 pub struct NetServer {
     server: Server,
-    listener: TcpListener,
-    shared: Arc<NetShared>,
+    frontend: Frontend,
 }
 
 impl NetServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) over a running server.
     pub fn bind(server: Server, addr: &str, cfg: NetServerConfig) -> std::io::Result<NetServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(NetShared {
-            client: server.client(),
-            cfg,
-            stop: AtomicBool::new(false),
-            drain: AtomicBool::new(true),
-            waiters: WaitGroup::default(),
-            local_addr,
-        });
-        Ok(NetServer {
-            server,
-            listener,
-            shared,
-        })
+        let frontend = Frontend::bind(server.client(), addr, cfg.allow_remote_shutdown)?;
+        Ok(NetServer { server, frontend })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.frontend.local_addr()
     }
 
     /// Accepts connections until a shutdown frame arrives, then shuts
@@ -139,36 +83,23 @@ impl NetServer {
     /// `Shutdown { drain: true }`, failing it typed otherwise) and
     /// waits until every in-flight response has been written.
     pub fn serve(self) -> std::io::Result<()> {
-        let NetServer {
-            server,
-            listener,
-            shared,
-        } = self;
-        for stream in listener.incoming() {
-            if shared.stop.load(Ordering::Acquire) {
-                break;
+        let NetServer { server, frontend } = self;
+        // Once the server is down every queued request has a terminal;
+        // the front-end then waits for the waiter threads to finish
+        // writing them to their sockets.
+        frontend.serve(|drain| {
+            if drain {
+                server.shutdown();
+            } else {
+                server.shutdown_now();
             }
-            let Ok(stream) = stream else { continue };
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || handle_connection(stream, &shared));
-        }
-        if shared.drain.load(Ordering::Acquire) {
-            server.shutdown();
-        } else {
-            server.shutdown_now();
-        }
-        // Every queued request now has a terminal; wait for the waiter
-        // threads to finish writing them to their sockets.
-        shared.waiters.wait();
-        Ok(())
+        })
     }
 
     /// Runs [`Self::serve`] on a background thread and returns a
     /// handle for tests and embedders.
     pub fn spawn(self) -> NetServerHandle {
-        let addr = self.local_addr();
-        let join = std::thread::spawn(move || self.serve());
-        NetServerHandle { addr, join }
+        NetServerHandle::spawn(self.local_addr(), move || self.serve())
     }
 }
 
@@ -179,6 +110,15 @@ pub struct NetServerHandle {
 }
 
 impl NetServerHandle {
+    /// Runs a front-end's `serve` on a background thread.
+    pub(crate) fn spawn(
+        addr: SocketAddr,
+        serve: impl FnOnce() -> std::io::Result<()> + Send + 'static,
+    ) -> NetServerHandle {
+        let join = std::thread::spawn(serve);
+        NetServerHandle { addr, join }
+    }
+
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -190,280 +130,80 @@ impl NetServerHandle {
         if let Ok(mut client) = NetClient::connect(&self.addr.to_string()) {
             let _ = client.shutdown(drain);
         }
-        self.join.join().expect("net server thread panicked")
+        self.join.join().expect("front-end thread panicked")
     }
 }
 
-/// Sniffs the protocol and dispatches the connection.
-fn handle_connection(stream: TcpStream, shared: &Arc<NetShared>) {
-    let _ = stream.set_nodelay(true);
-    let mut head = [0u8; 4];
-    let mut reader = stream;
-    if reader.read_exact(&mut head).is_err() {
-        return;
+/// The local backend: requests map straight onto the in-process
+/// lifecycle, so a remote caller sees the terminals a local one does.
+impl Backend for Client {
+    fn submit(&self, req: InferRequest, cancel: CancelToken) -> Result<Waiter, ServeError> {
+        let mut builder = self
+            .request(&req.model)
+            .input(req.input)
+            .priority(req.priority)
+            .cancel_token(cancel);
+        if let Some(budget) = req.deadline {
+            // Relative budget re-anchored on this host's monotonic clock.
+            builder = builder.deadline_in(budget);
+        }
+        let handle = builder.submit()?;
+        Ok(Box::new(move || match handle.wait().into_result() {
+            Ok(resp) => WireOutcome::Completed {
+                output: resp.output,
+                latency: resp.latency,
+                batch_size: resp.batch_size,
+            },
+            Err(e) => WireOutcome::Rejected(e),
+        }))
     }
-    if &head == WIRE_MAGIC {
-        let _ = handle_wire_connection(reader, shared);
-    } else if head.is_ascii() {
-        // An HTTP request line ("GET ", "HEAD", ...): hand the already
-        // consumed bytes to the shim.
-        let _ = handle_http_connection(reader, &head, shared);
-    }
-    // Anything else: drop the connection silently.
-}
 
-/// The binary protocol loop for one connection.
-fn handle_wire_connection(stream: TcpStream, shared: &Arc<NetShared>) -> Result<(), WireError> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    wire::read_handshake_version(&mut reader)?;
-    // lock: net-writer
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    // Cancel tokens of this connection's in-flight requests, so a
-    // `Cancel { id }` frame can reach them.
-    // lock: net-inflight
-    let inflight: Arc<Mutex<HashMap<u64, CancelToken>>> = Arc::new(Mutex::new(HashMap::new()));
-    // A read error means the peer hung up or sent garbage: the
-    // connection is done (in-flight requests still resolve; their
-    // writes fail harmlessly if the socket is gone).
-    while let Ok(frame) = read_frame(&mut reader) {
-        match frame {
-            Frame::Infer {
-                id,
-                model,
-                priority,
-                deadline_us,
-                input,
-            } => {
-                submit_remote(
-                    shared,
-                    &writer,
-                    &inflight,
-                    id,
-                    model,
-                    priority,
-                    deadline_us,
-                    input,
-                );
-            }
-            Frame::Cancel { id } => {
-                // Clone the token out so the inflight registry lock is
-                // released before signalling.
-                let token = inflight.lock().expect("inflight lock").get(&id).cloned();
-                if let Some(token) = token {
-                    token.cancel();
-                }
-            }
-            Frame::Ping { token } => {
-                let snap = shared.client.metrics().snapshot();
-                let pong = Frame::Pong {
-                    token,
-                    queue_depth: snap.queue_depth,
-                    in_flight: snap.in_flight,
-                    models: shared.client.models().len() as u32,
-                };
-                write_locked(&writer, &pong)?;
-            }
-            Frame::Shutdown { drain } => {
-                if !shared.cfg.allow_remote_shutdown {
-                    write_locked(
-                        &writer,
-                        &Frame::reject(0, &ServeError::Internal("remote shutdown disabled".into())),
-                    )?;
-                    continue;
-                }
-                shared.drain.store(drain, Ordering::Release);
-                shared.stop.store(true, Ordering::Release);
-                write_locked(&writer, &Frame::ShutdownAck)?;
-                // Unblock the accept loop so `serve` can proceed to
-                // the actual server shutdown.
-                let _ = TcpStream::connect(shared.local_addr);
-                break;
-            }
-            // Server-originated frames arriving at the server are a
-            // protocol violation; drop the connection.
-            _ => break,
+    fn gauges(&self) -> PongInfo {
+        let snap = self.metrics().snapshot();
+        PongInfo {
+            queue_depth: snap.queue_depth,
+            in_flight: snap.in_flight,
+            models: self.models().len() as u32,
         }
     }
-    Ok(())
-}
 
-/// Submits one remote request onto the in-process lifecycle and spawns
-/// the waiter that writes its terminal back.
-#[allow(clippy::too_many_arguments)]
-fn submit_remote(
-    shared: &Arc<NetShared>,
-    writer: &Arc<Mutex<TcpStream>>,
-    inflight: &Arc<Mutex<HashMap<u64, CancelToken>>>,
-    id: u64,
-    model: String,
-    priority: Priority,
-    deadline_us: u64,
-    input: Tensor,
-) {
-    let token = CancelToken::new();
-    let mut builder = shared
-        .client
-        .request(&model)
-        .input(input)
-        .priority(priority)
-        .cancel_token(token.clone());
-    if deadline_us > 0 {
-        // Relative budget re-anchored on this host's monotonic clock.
-        builder = builder.deadline_in(Duration::from_micros(deadline_us));
+    fn healthz(&self) -> (bool, String) {
+        let gauges = self.gauges();
+        let body = format!(
+            "ok models={} in_flight={}\n",
+            gauges.models, gauges.in_flight
+        );
+        (true, body)
     }
-    match builder.submit() {
-        Ok(handle) => {
-            inflight.lock().expect("inflight lock").insert(id, token);
-            shared.waiters.add();
-            let shared = Arc::clone(shared);
-            let writer = Arc::clone(writer);
-            let inflight = Arc::clone(inflight);
-            std::thread::spawn(move || {
-                let terminal = handle.wait();
-                inflight.lock().expect("inflight lock").remove(&id);
-                let frame = terminal_to_frame(id, terminal);
-                let _ = write_locked(&writer, &frame);
-                shared.waiters.done();
-            });
-        }
-        // Fast-fail path: submission itself refused (unknown model,
-        // shape mismatch, expired-at-submit, shed, backpressure...).
-        Err(e) => {
-            let _ = write_locked(writer, &Frame::reject(id, &e));
-        }
+
+    fn metrics_text(&self) -> String {
+        render_metrics_text(&self.metrics().snapshot(), self.models().len())
     }
-}
-
-/// Renders a typed terminal as its response frame.
-fn terminal_to_frame(id: u64, terminal: Terminal) -> Frame {
-    match terminal {
-        Terminal::Completed(resp) => Frame::Completed {
-            id,
-            latency_us: duration_to_us(resp.latency),
-            batch_size: resp.batch_size as u32,
-            output: resp.output,
-        },
-        other => match other.into_result() {
-            Ok(_) => unreachable!("non-completed terminal has no response"),
-            Err(e) => Frame::reject(id, &e),
-        },
-    }
-}
-
-fn write_locked(writer: &Arc<Mutex<TcpStream>>, frame: &Frame) -> Result<(), WireError> {
-    let mut guard = writer.lock().expect("net writer lock");
-    let mut buffered = BufWriter::new(&mut *guard);
-    // lock-order: allow(net-writer serializes whole response frames; holding it across the socket write is the point)
-    write_frame(&mut buffered, frame)?;
-    buffered.flush()?;
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// HTTP/1.1 shim
-// ---------------------------------------------------------------------
-
-/// Serves one HTTP request (`/metrics`, `/healthz`) and closes.
-fn handle_http_connection(
-    mut stream: TcpStream,
-    head: &[u8; 4],
-    shared: &Arc<NetShared>,
-) -> std::io::Result<()> {
-    let path = match read_http_request(&mut stream, head) {
-        Some(p) => p,
-        None => return Ok(()),
-    };
-    let snap = shared.client.metrics().snapshot();
-    let models = shared.client.models().len();
-    let (status, body) = match path.as_str() {
-        "/healthz" => (
-            "200 OK",
-            format!("ok models={models} in_flight={}\n", snap.in_flight),
-        ),
-        "/metrics" => ("200 OK", render_metrics_text(&snap, models)),
-        _ => ("404 Not Found", "not found\n".to_owned()),
-    };
-    write_http_response(&mut stream, status, &body)
-}
-
-/// Reads the request line + headers; returns the request path.
-pub(crate) fn read_http_request(stream: &mut TcpStream, head: &[u8]) -> Option<String> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut buf = head.to_vec();
-    let mut byte = [0u8; 1];
-    // Read until the blank line ending the header block (bounded so a
-    // hostile peer cannot grow the buffer without limit).
-    while !buf.ends_with(b"\r\n\r\n") && !buf.ends_with(b"\n\n") && buf.len() < 16 << 10 {
-        match stream.read(&mut byte) {
-            Ok(1) => buf.push(byte[0]),
-            _ => break,
-        }
-    }
-    let text = String::from_utf8_lossy(&buf);
-    let request_line = text.lines().next()?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next()?;
-    let path = parts.next()?;
-    if method != "GET" {
-        return None;
-    }
-    Some(path.to_owned())
-}
-
-pub(crate) fn write_http_response(
-    stream: &mut TcpStream,
-    status: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: text/plain; charset=utf-8\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()?;
-    let _ = stream.shutdown(SockShutdown::Both);
-    Ok(())
 }
 
 /// Flat `name value` exposition of the serving counters (one gauge or
 /// counter per line, Prometheus text-format compatible).
-pub(crate) fn render_metrics_text(snap: &MetricsSnapshot, models: usize) -> String {
-    let mut out = String::new();
-    let mut line = |name: &str, value: String| {
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&value);
-        out.push('\n');
-    };
-    line("patdnn_models", models.to_string());
-    line("patdnn_requests_total", snap.requests.to_string());
-    line("patdnn_batches_total", snap.batches.to_string());
-    line("patdnn_rejected_total", snap.rejected.to_string());
-    line("patdnn_shed_total", snap.shed.to_string());
-    line("patdnn_expired_total", snap.expired.to_string());
-    line("patdnn_cancelled_total", snap.cancelled.to_string());
-    line("patdnn_queue_depth", snap.queue_depth.to_string());
-    line("patdnn_in_flight", snap.in_flight.to_string());
-    line("patdnn_qps", format!("{:.3}", snap.qps));
-    line("patdnn_latency_p50_ms", format!("{:.3}", snap.p50_ms));
-    line("patdnn_latency_p99_ms", format!("{:.3}", snap.p99_ms));
+fn render_metrics_text(snap: &MetricsSnapshot, models: usize) -> String {
+    let mut out = MetricsText::default();
+    out.line("patdnn_models", models);
+    out.line("patdnn_requests_total", snap.requests);
+    out.line("patdnn_batches_total", snap.batches);
+    out.line("patdnn_rejected_total", snap.rejected);
+    out.line("patdnn_shed_total", snap.shed);
+    out.line("patdnn_expired_total", snap.expired);
+    out.line("patdnn_cancelled_total", snap.cancelled);
+    out.line("patdnn_queue_depth", snap.queue_depth);
+    out.line("patdnn_in_flight", snap.in_flight);
+    out.float("patdnn_qps", snap.qps);
+    out.float("patdnn_latency_p50_ms", snap.p50_ms);
+    out.float("patdnn_latency_p99_ms", snap.p99_ms);
     for class in &snap.classes {
-        let label = class.priority.label();
-        line(
-            &format!("patdnn_class_requests{{class=\"{label}\"}}"),
-            class.requests.to_string(),
-        );
-        line(
-            &format!("patdnn_class_latency_p50_ms{{class=\"{label}\"}}"),
-            format!("{:.3}", class.p50_ms),
-        );
-        line(
-            &format!("patdnn_class_latency_p99_ms{{class=\"{label}\"}}"),
-            format!("{:.3}", class.p99_ms),
-        );
+        let tag = format!("{{class=\"{}\"}}", class.priority.label());
+        out.line(&format!("patdnn_class_requests{tag}"), class.requests);
+        out.float(&format!("patdnn_class_latency_p50_ms{tag}"), class.p50_ms);
+        out.float(&format!("patdnn_class_latency_p99_ms{tag}"), class.p99_ms);
     }
-    out
+    out.0
 }
 
 // ---------------------------------------------------------------------
@@ -473,6 +213,8 @@ pub(crate) fn render_metrics_text(snap: &MetricsSnapshot, models: usize) -> Stri
 /// The typed outcome a remote request resolves to — the wire-side
 /// mirror of [`Terminal`] (`Completed` carries the output; everything
 /// else is the typed [`ServeError`] rebuilt from its frozen code).
+///
+/// [`Terminal`]: crate::request::Terminal
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum WireOutcome {
@@ -498,6 +240,8 @@ impl WireOutcome {
     /// The terminal-state code this outcome corresponds to — equal to
     /// [`Terminal::code`] for the same outcome in-process, which is
     /// what the loopback parity tests assert.
+    ///
+    /// [`Terminal::code`]: crate::request::Terminal::code
     pub fn terminal_code(&self) -> u16 {
         match self {
             WireOutcome::Completed { .. } => 0,
@@ -516,7 +260,8 @@ pub struct PongInfo {
     pub queue_depth: u64,
     /// Requests holding a remote admission permit.
     pub in_flight: u64,
-    /// Models registered on the remote server.
+    /// Models registered on the remote server (a router reports its
+    /// replica count here, and a `queue_depth` of 0).
     pub models: u32,
 }
 
@@ -529,6 +274,9 @@ pub struct NetClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     next_id: u64,
+    /// Frames [`NetClient::ping`] read past while waiting for its
+    /// pong, in arrival order; [`NetClient::recv`] takes these first.
+    held: VecDeque<Frame>,
 }
 
 impl NetClient {
@@ -563,6 +311,7 @@ impl NetClient {
             reader: BufReader::new(stream),
             writer,
             next_id: 1,
+            held: VecDeque::new(),
         })
     }
 
@@ -618,7 +367,11 @@ impl NetClient {
     /// Blocks for the next response frame, returning `(id, outcome)`.
     pub fn recv(&mut self) -> Result<(u64, WireOutcome), WireError> {
         loop {
-            match read_frame(&mut self.reader)? {
+            let frame = match self.held.pop_front() {
+                Some(frame) => frame,
+                None => read_frame(&mut self.reader)?,
+            };
+            match frame {
                 Frame::Completed {
                     id,
                     latency_us,
@@ -676,25 +429,27 @@ impl NetClient {
         Ok(outcome)
     }
 
-    /// Round-trips a ping, returning the remote gauges.
+    /// Round-trips a ping, returning the remote gauges. Responses to
+    /// outstanding requests that arrive before the pong are held for
+    /// the next [`NetClient::recv`].
     pub fn ping(&mut self) -> Result<PongInfo, WireError> {
         let token = 0x50_49_4E_47 ^ self.next_id;
         write_frame(&mut self.writer, &Frame::Ping { token })?;
         loop {
-            if let Frame::Pong {
-                token: got,
-                queue_depth,
-                in_flight,
-                models,
-            } = read_frame(&mut self.reader)?
-            {
-                if got == token {
+            match read_frame(&mut self.reader)? {
+                Frame::Pong {
+                    token: got,
+                    queue_depth,
+                    in_flight,
+                    models,
+                } if got == token => {
                     return Ok(PongInfo {
                         queue_depth,
                         in_flight,
                         models,
-                    });
+                    })
                 }
+                other => self.held.push_back(other),
             }
         }
     }
@@ -737,7 +492,7 @@ pub fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Priority;
+    use crate::request::Terminal;
 
     #[test]
     fn metrics_text_renders_every_counter() {

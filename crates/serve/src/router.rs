@@ -23,18 +23,17 @@
 //! clients cannot tell a router from a single replica — the typed
 //! terminals and frozen v1 codes are identical.
 
-use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use patdnn_tensor::Tensor;
 
-use crate::net::{self, NetClient, WaitGroup, WireOutcome};
+use crate::frontend::{Backend, Frontend, InferRequest, MetricsText, Waiter};
+use crate::net::{NetClient, NetServerHandle, PongInfo, WireOutcome};
 use crate::request::{AdmissionControl, AdmissionPolicy, CancelToken, Priority, RETRY_HINT_FLOOR};
-use crate::wire::{self, read_frame, write_frame, Frame, WireError, WIRE_MAGIC};
+use crate::wire::WireError;
 use crate::ServeError;
 
 /// Router knobs.
@@ -57,7 +56,8 @@ pub struct RouterConfig {
     pub cooldown: Duration,
     /// TCP connect timeout when dialing a replica.
     pub connect_timeout: Duration,
-    /// Honor [`Frame::Shutdown`] on the router's own listen port.
+    /// Honor [`crate::wire::Frame::Shutdown`] on the router's own
+    /// listen port.
     pub allow_remote_shutdown: bool,
 }
 
@@ -418,75 +418,91 @@ impl Router {
 /// Flat text exposition of the router counters (same shape as the
 /// replica `/metrics`).
 fn render_router_metrics(snap: &RouterMetricsSnapshot) -> String {
-    let mut out = String::new();
-    let mut line = |name: &str, value: String| {
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&value);
-        out.push('\n');
-    };
-    line("patdnn_router_forwarded_total", snap.forwarded.to_string());
-    line("patdnn_router_completed_total", snap.completed.to_string());
-    line("patdnn_router_rejected_total", snap.rejected.to_string());
-    line(
-        "patdnn_router_shed_retries_total",
-        snap.shed_retries.to_string(),
-    );
-    line(
+    let mut out = MetricsText::default();
+    out.line("patdnn_router_forwarded_total", snap.forwarded);
+    out.line("patdnn_router_completed_total", snap.completed);
+    out.line("patdnn_router_rejected_total", snap.rejected);
+    out.line("patdnn_router_shed_retries_total", snap.shed_retries);
+    out.line(
         "patdnn_router_transport_retries_total",
-        snap.transport_retries.to_string(),
+        snap.transport_retries,
     );
-    line("patdnn_router_exhausted_total", snap.exhausted.to_string());
-    line("patdnn_router_ejections_total", snap.ejections.to_string());
-    line(
-        "patdnn_router_readmissions_total",
-        snap.readmissions.to_string(),
-    );
+    out.line("patdnn_router_exhausted_total", snap.exhausted);
+    out.line("patdnn_router_ejections_total", snap.ejections);
+    out.line("patdnn_router_readmissions_total", snap.readmissions);
     for (addr, forwarded, in_flight, ejected) in &snap.replicas {
-        line(
-            &format!("patdnn_router_replica_forwarded{{replica=\"{addr}\"}}"),
-            forwarded.to_string(),
-        );
-        line(
-            &format!("patdnn_router_replica_in_flight{{replica=\"{addr}\"}}"),
-            in_flight.to_string(),
-        );
-        line(
-            &format!("patdnn_router_replica_ejected{{replica=\"{addr}\"}}"),
-            u8::from(*ejected).to_string(),
+        let tag = format!("{{replica=\"{addr}\"}}");
+        out.line(&format!("patdnn_router_replica_forwarded{tag}"), forwarded);
+        out.line(&format!("patdnn_router_replica_in_flight{tag}"), in_flight);
+        out.line(
+            &format!("patdnn_router_replica_ejected{tag}"),
+            u8::from(*ejected),
         );
     }
-    out
+    out.0
 }
 
-/// The router's listen front-end — same dual-protocol port as
-/// [`crate::net::NetServer`], backed by [`Router::route`] instead of a
-/// local engine.
+/// The routed backend: every request is a blocking [`Router::route`]
+/// on its waiter thread; nothing is refused on the reader thread.
+impl Backend for Arc<Router> {
+    fn submit(&self, req: InferRequest, cancel: CancelToken) -> Result<Waiter, ServeError> {
+        let router = Arc::clone(self);
+        // Cancellation is best-effort: it stops un-forwarded attempts;
+        // a request already at a replica resolves there normally.
+        Ok(Box::new(move || {
+            router.route(
+                &req.model,
+                &req.input,
+                req.priority,
+                req.deadline,
+                Some(&cancel),
+            )
+        }))
+    }
+
+    /// The router queues nothing itself (`queue_depth` 0) and reports
+    /// its replica count where a replica reports its model count.
+    fn gauges(&self) -> PongInfo {
+        let snap = self.metrics_snapshot();
+        PongInfo {
+            queue_depth: 0,
+            in_flight: snap.replicas.iter().map(|r| r.2 as u64).sum(),
+            models: snap.replicas.len() as u32,
+        }
+    }
+
+    fn healthz(&self) -> (bool, String) {
+        let snap = self.metrics_snapshot();
+        let replicas = snap.replicas.len();
+        let healthy = snap.replicas.iter().filter(|r| !r.3).count();
+        let body = format!("ok replicas={replicas} healthy={healthy}\n");
+        (healthy > 0, body)
+    }
+
+    fn metrics_text(&self) -> String {
+        render_router_metrics(&self.metrics_snapshot())
+    }
+}
+
+/// The router's listen front-end — the same `serve::frontend` loop
+/// as [`crate::net::NetServer`], backed by [`Router::route`] instead of
+/// a local engine.
 pub struct RouterServer {
     router: Arc<Router>,
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    waiters: Arc<WaitGroup>,
+    frontend: Frontend,
 }
 
 impl RouterServer {
     /// Binds `addr` over a routing table.
     pub fn bind(router: Router, addr: &str) -> std::io::Result<RouterServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        Ok(RouterServer {
-            router: Arc::new(router),
-            listener,
-            local_addr,
-            stop: Arc::new(AtomicBool::new(false)),
-            waiters: Arc::new(WaitGroup::default()),
-        })
+        let router = Arc::new(router);
+        let frontend = Frontend::bind(Arc::clone(&router), addr, router.cfg.allow_remote_shutdown)?;
+        Ok(RouterServer { router, frontend })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.frontend.local_addr()
     }
 
     /// Shared handle to the routing core (metrics, fleet shutdown).
@@ -495,45 +511,32 @@ impl RouterServer {
     }
 
     /// Accepts connections until a shutdown frame arrives, then waits
-    /// for in-flight forwards to finish writing their responses.
+    /// for in-flight forwards to finish writing their responses. Stops
+    /// the front-end only, whatever the frame's `drain` flag; replicas
+    /// are drained separately (see [`Router::shutdown_replicas`]).
     pub fn serve(self) -> std::io::Result<()> {
-        for stream in self.listener.incoming() {
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let router = Arc::clone(&self.router);
-            let stop = Arc::clone(&self.stop);
-            let waiters = Arc::clone(&self.waiters);
-            let local_addr = self.local_addr;
-            std::thread::spawn(move || {
-                handle_router_connection(stream, &router, &stop, &waiters, local_addr)
-            });
-        }
-        self.waiters.wait();
-        Ok(())
+        self.frontend.serve(|_drain| {})
     }
 
     /// Runs [`Self::serve`] on a background thread.
     pub fn spawn(self) -> RouterHandle {
-        let addr = self.local_addr;
-        let router = Arc::clone(&self.router);
-        let join = std::thread::spawn(move || self.serve());
-        RouterHandle { addr, router, join }
+        RouterHandle {
+            router: self.router(),
+            inner: NetServerHandle::spawn(self.local_addr(), move || self.serve()),
+        }
     }
 }
 
 /// Handle to a [`RouterServer`] running on a background thread.
 pub struct RouterHandle {
-    addr: SocketAddr,
     router: Arc<Router>,
-    join: std::thread::JoinHandle<std::io::Result<()>>,
+    inner: NetServerHandle,
 }
 
 impl RouterHandle {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr()
     }
 
     /// Shared handle to the routing core.
@@ -543,178 +546,8 @@ impl RouterHandle {
 
     /// Sends a shutdown frame to the router's own port and joins.
     pub fn shutdown(self) -> std::io::Result<()> {
-        if let Ok(mut client) = NetClient::connect(&self.addr.to_string()) {
-            let _ = client.shutdown(true);
-        }
-        self.join.join().expect("router server thread panicked")
+        self.inner.shutdown(true)
     }
-}
-
-/// Sniffs the protocol and dispatches one router connection.
-fn handle_router_connection(
-    stream: TcpStream,
-    router: &Arc<Router>,
-    stop: &Arc<AtomicBool>,
-    waiters: &Arc<WaitGroup>,
-    local_addr: SocketAddr,
-) {
-    let _ = stream.set_nodelay(true);
-    let mut head = [0u8; 4];
-    let mut reader = stream;
-    if reader.read_exact(&mut head).is_err() {
-        return;
-    }
-    if &head == WIRE_MAGIC {
-        let _ = wire_loop(reader, router, stop, waiters, local_addr);
-    } else if head.is_ascii() {
-        let _ = http_shim(reader, &head, router);
-    }
-}
-
-/// The binary protocol loop for one router connection.
-fn wire_loop(
-    stream: TcpStream,
-    router: &Arc<Router>,
-    stop: &Arc<AtomicBool>,
-    waiters: &Arc<WaitGroup>,
-    local_addr: SocketAddr,
-) -> Result<(), WireError> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    wire::read_handshake_version(&mut reader)?;
-    // lock: router-writer
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    // lock: router-inflight
-    let inflight: Arc<Mutex<HashMap<u64, CancelToken>>> = Arc::new(Mutex::new(HashMap::new()));
-    // A read error means the peer hung up or sent garbage; the
-    // connection is done.
-    while let Ok(frame) = read_frame(&mut reader) {
-        match frame {
-            Frame::Infer {
-                id,
-                model,
-                priority,
-                deadline_us,
-                input,
-            } => {
-                let token = CancelToken::new();
-                inflight
-                    .lock()
-                    .expect("router inflight lock")
-                    .insert(id, token.clone());
-                waiters.add();
-                let router = Arc::clone(router);
-                let writer = Arc::clone(&writer);
-                let inflight = Arc::clone(&inflight);
-                let waiters = Arc::clone(waiters);
-                std::thread::spawn(move || {
-                    let deadline = (deadline_us > 0).then(|| Duration::from_micros(deadline_us));
-                    let outcome = router.route(&model, &input, priority, deadline, Some(&token));
-                    inflight.lock().expect("router inflight lock").remove(&id);
-                    let frame = outcome_to_frame(id, outcome);
-                    let _ = write_router_frame(&writer, &frame);
-                    waiters.done();
-                });
-            }
-            Frame::Cancel { id } => {
-                // Best-effort: stops un-forwarded attempts; a request
-                // already at a replica resolves there normally. Clone
-                // the token out so the registry lock is released before
-                // signalling.
-                let token = inflight
-                    .lock()
-                    .expect("router inflight lock")
-                    .get(&id)
-                    .cloned();
-                if let Some(token) = token {
-                    token.cancel();
-                }
-            }
-            Frame::Ping { token } => {
-                let snap = router.metrics_snapshot();
-                let in_flight: usize = snap.replicas.iter().map(|r| r.2).sum();
-                let pong = Frame::Pong {
-                    token,
-                    queue_depth: 0,
-                    in_flight: in_flight as u64,
-                    models: snap.replicas.len() as u32,
-                };
-                write_router_frame(&writer, &pong)?;
-            }
-            Frame::Shutdown { drain } => {
-                if !router.cfg.allow_remote_shutdown {
-                    write_router_frame(
-                        &writer,
-                        &Frame::reject(0, &ServeError::Internal("remote shutdown disabled".into())),
-                    )?;
-                    continue;
-                }
-                // Shuts down the router front-end only; replicas are
-                // drained separately (see Router::shutdown_replicas).
-                let _ = drain;
-                stop.store(true, Ordering::Release);
-                write_router_frame(&writer, &Frame::ShutdownAck)?;
-                let _ = TcpStream::connect(local_addr);
-                break;
-            }
-            _ => break,
-        }
-    }
-    Ok(())
-}
-
-fn outcome_to_frame(id: u64, outcome: WireOutcome) -> Frame {
-    match outcome {
-        WireOutcome::Completed {
-            output,
-            latency,
-            batch_size,
-        } => Frame::Completed {
-            id,
-            latency_us: wire::duration_to_us(latency),
-            batch_size: batch_size as u32,
-            output,
-        },
-        WireOutcome::Rejected(e) => Frame::reject(id, &e),
-        // WireOutcome is #[non_exhaustive] for callers, but this crate
-        // owns it; keep the compiler honest if a variant is added.
-        #[allow(unreachable_patterns)]
-        _ => Frame::reject(id, &ServeError::Internal("unknown outcome".into())),
-    }
-}
-
-fn write_router_frame(writer: &Arc<Mutex<TcpStream>>, frame: &Frame) -> Result<(), WireError> {
-    let mut guard = writer.lock().expect("router writer lock");
-    let mut buffered = BufWriter::new(&mut *guard);
-    // lock-order: allow(router-writer serializes whole response frames; holding it across the socket write is the point)
-    write_frame(&mut buffered, frame)?;
-    buffered.flush()?;
-    Ok(())
-}
-
-/// `GET /metrics` and `GET /healthz` for the router port.
-fn http_shim(mut stream: TcpStream, head: &[u8; 4], router: &Arc<Router>) -> std::io::Result<()> {
-    let path = match net::read_http_request(&mut stream, head) {
-        Some(p) => p,
-        None => return Ok(()),
-    };
-    let snap = router.metrics_snapshot();
-    let (status, body) = match path.as_str() {
-        "/healthz" => {
-            let healthy = snap.replicas.iter().filter(|r| !r.3).count();
-            let status = if healthy > 0 {
-                "200 OK"
-            } else {
-                "503 Service Unavailable"
-            };
-            (
-                status,
-                format!("ok replicas={} healthy={healthy}\n", snap.replicas.len()),
-            )
-        }
-        "/metrics" => ("200 OK", render_router_metrics(&snap)),
-        _ => ("404 Not Found", "not found\n".to_owned()),
-    };
-    net::write_http_response(&mut stream, status, &body)
 }
 
 #[cfg(test)]
