@@ -48,8 +48,8 @@ pub fn max_abs(xs: &[f32]) -> f32 {
 /// Quantizes one value: round-to-nearest, clamped to the symmetric range.
 ///
 /// Internally multiplies by the reciprocal scale (matching the hot-path
-/// slice quantizer bit for bit) and rounds ties to even — the single
-/// rounding instruction the autovectorizer can lift into SIMD lanes.
+/// slice quantizer bit for bit) and rounds ties to even; see
+/// [`quantize_with_inv_i16`].
 #[inline]
 pub fn quantize_value(x: f32, scale: f32) -> i8 {
     quantize_with_inv(x, 1.0 / scale)
@@ -57,17 +57,33 @@ pub fn quantize_value(x: f32, scale: f32) -> i8 {
 
 #[inline]
 fn quantize_with_inv(x: f32, inv: f32) -> i8 {
-    // Round to nearest (ties to even) via the classic 1.5·2²³ bias: for
-    // any |v| ≤ 127 the addition pushes the value into the float range
-    // where the mantissa step is exactly 1, so the hardware's add
-    // rounds it, and the subtraction recovers the integer. Clamping
-    // first keeps the trick's precondition and saturates out-of-range
-    // inputs; NaN falls through the cast to 0. Everything here is plain
-    // mul/min/max/add arithmetic, so the loop vectorizes on baseline
-    // targets (no `roundss`-style instruction needed).
+    quantize_with_inv_i16(x, inv) as i8
+}
+
+/// [`quantize_value`] by a precomputed reciprocal scale (the division
+/// hoisted out of the caller's loop), in an `i16` lane: the form the
+/// INT8 tile's staged image stores, and the one implementation behind
+/// every quantizer here.
+///
+/// Rounds to nearest, ties to even, via the classic 1.5·2²³ bias: for
+/// any |v| ≤ 127 the addition pushes the value into the float range
+/// where the mantissa step is exactly 1, so the hardware's add rounds
+/// it — and there consecutive floats are consecutive integers in bit
+/// pattern too, so the integer is read out of the mantissa with one
+/// subtraction instead of a float-to-int cast. Clamping first keeps the
+/// trick's precondition and saturates out-of-range inputs; NaN
+/// quantizes to 0. Everything is plain mul/min/max/add/sub arithmetic,
+/// so the loop vectorizes on baseline targets.
+#[inline]
+pub fn quantize_with_inv_i16(x: f32, inv: f32) -> i16 {
     const BIAS: f32 = 12_582_912.0;
-    let v = (x * inv).clamp(-QMAX, QMAX);
-    ((v + BIAS) - BIAS) as i8
+    let v = x * inv;
+    let v = if v.is_nan() {
+        0.0
+    } else {
+        v.clamp(-QMAX, QMAX)
+    };
+    ((v + BIAS).to_bits() as i32 - BIAS.to_bits() as i32) as i16
 }
 
 /// Quantizes a slice into a caller-provided buffer of equal length.
@@ -229,6 +245,7 @@ impl QuantFkwLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
     use crate::fkr::filter_kernel_reorder;
     use patdnn_core::pattern_set::PatternSet;
     use patdnn_core::project::prune_layer;
@@ -329,5 +346,40 @@ mod tests {
         let f = fkw.reorder[0] as usize;
         assert_eq!(q.scales[f], 1.0);
         assert!(q.qweights[lo..hi].iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn the_quantizer_rounds_to_even_saturates_and_zeroes_nan() {
+        let specials = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            2.5,
+            -2.5,
+            126.5,
+            127.49,
+            127.5,
+            1e9,
+            -1e9,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE,
+        ];
+        for inv in [1.0f32, 0.37, 42.3, 1e-3] {
+            let sweep = (-4000..4000).map(|i| i as f32 * 0.0371 / inv);
+            for x in sweep.chain(specials) {
+                let v = x * inv;
+                let want = if v.is_nan() {
+                    0
+                } else {
+                    v.clamp(-127.0, 127.0).round_ties_even() as i16
+                };
+                assert_eq!(quantize_with_inv_i16(x, inv), want, "x {x} inv {inv}");
+                assert_eq!(quantize_with_inv(x, inv) as i16, want, "x {x} inv {inv}");
+            }
+        }
     }
 }

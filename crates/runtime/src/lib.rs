@@ -12,7 +12,8 @@
 //!   baseline of §6.2.
 //! - [`pattern_exec`] — the pattern-based executors over FKW storage at
 //!   the four optimization levels of Figure 13 (`No-opt`, `+Reorder`,
-//!   `+LRE`, `+Tune`).
+//!   `+LRE`, `+Tune`), and [`quant_exec`], their INT8 counterpart; the
+//!   two tiled levels share one output-stationary tile driver.
 //! - [`parallel`] — multi-threaded layer execution with FKR-aware load
 //!   balancing (8 threads in the paper's runs).
 //! - [`gpu`] — a simulated mobile GPU (thread blocks, warps, divergence
@@ -31,6 +32,10 @@ pub mod pattern_exec;
 pub mod platform;
 pub mod quant_exec;
 pub mod sparse_csr;
+pub mod tile;
+
+#[cfg(test)]
+mod test_layers;
 
 pub use executor::ConvExecutor;
 pub use pattern_exec::{OptLevel, PatternConv};

@@ -11,7 +11,7 @@ use std::time::Instant;
 use patdnn_tensor::{Conv2dGeometry, Tensor};
 
 use crate::executor::ConvExecutor;
-use crate::pattern_exec::PatternConv;
+use crate::pattern_exec::{PatternConv, RowSet};
 
 /// Per-thread wall-clock times of one parallel run, for load-imbalance
 /// reporting.
@@ -44,11 +44,14 @@ pub enum Schedule {
     Balanced,
 }
 
-/// A multi-threaded wrapper around [`PatternConv`].
+/// A multi-threaded wrapper around [`PatternConv`]: storage rows are
+/// partitioned over threads, and every thread runs the executor's own
+/// row driver over one shared staged image, so a threaded run is the
+/// serial run bit for bit.
 pub struct ParallelPattern {
     inner: PatternConv,
     threads: usize,
-    assignments: Vec<Vec<usize>>,
+    assignments: Vec<RowSet>,
 }
 
 impl ParallelPattern {
@@ -80,7 +83,13 @@ impl ParallelPattern {
                 }
             }
         }
-        assignments.retain(|rows| !rows.is_empty());
+        // A thread writes its rows' planes into a buffer of its own, in
+        // the order it was given them.
+        let assignments = assignments
+            .into_iter()
+            .filter(|rows| !rows.is_empty())
+            .map(|rows| inner.row_set(rows.into_iter().zip(0..).collect()))
+            .collect();
         ParallelPattern {
             inner,
             threads,
@@ -94,44 +103,46 @@ impl ParallelPattern {
         let s = input.shape4();
         assert_eq!(s.n, 1, "run_timed takes batch-1 inputs");
         assert_eq!(s.c, g.in_channels, "input channel mismatch");
-        let out_hw = g.out_h * g.out_w;
         let mut out = Tensor::zeros(&[1, g.out_channels, g.out_h, g.out_w]);
-        let (planes, times) = self.compute_planes(input.data());
-        for (f, plane) in planes {
-            out.data_mut()[f * out_hw..(f + 1) * out_hw].copy_from_slice(&plane);
-        }
+        let times = self.run_item(input.data(), out.data_mut());
         (out, times)
     }
 
     /// Computes all output planes of one batch item across the thread
-    /// pool, returning `(original filter, plane)` pairs and thread times.
-    fn compute_planes(&self, input_item: &[f32]) -> (Vec<(usize, Vec<f32>)>, ThreadTimes) {
-        let mut per_thread: Vec<(f64, Vec<(usize, Vec<f32>)>)> = Vec::with_capacity(self.threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.threads);
-            for rows in &self.assignments {
-                let inner = &self.inner;
-                handles.push(scope.spawn(move || {
-                    let start = Instant::now();
-                    let planes: Vec<(usize, Vec<f32>)> = rows
-                        .iter()
-                        .map(|&row| inner.compute_row_plane(input_item, row))
-                        .collect();
-                    (start.elapsed().as_secs_f64(), planes)
-                }));
-            }
-            for h in handles {
-                per_thread.push(h.join().expect("worker thread panicked"));
-            }
+    /// pool into `out`, returning the thread times. The item is staged
+    /// once; each thread computes its rows' planes into a buffer of its
+    /// own, scattered to the filters' planes after the join.
+    fn run_item(&self, input: &[f32], out: &mut [f32]) -> ThreadTimes {
+        let g = self.inner.geometry();
+        let hw = g.out_h * g.out_w;
+        let mut per_thread: Vec<(f64, Vec<f32>)> = Vec::with_capacity(self.threads);
+        self.inner.with_staged(input, |staged| {
+            std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(self.threads);
+                for set in &self.assignments {
+                    let inner = &self.inner;
+                    handles.push(scope.spawn(move || {
+                        let start = Instant::now();
+                        let mut planes = vec![0.0f32; set.len() * hw];
+                        inner.run_rows(input, staged, set, &mut planes);
+                        (start.elapsed().as_secs_f64(), planes)
+                    }));
+                }
+                for h in handles {
+                    per_thread.push(h.join().expect("worker thread panicked"));
+                }
+            });
         });
 
         let mut times = ThreadTimes::default();
-        let mut all_planes = Vec::with_capacity(self.inner.fkw().out_c);
-        for (secs, planes) in per_thread {
+        for ((secs, planes), set) in per_thread.into_iter().zip(&self.assignments) {
             times.seconds.push(secs);
-            all_planes.extend(planes);
+            for (plane, row) in planes.chunks(hw).zip(set.rows()) {
+                let f = self.inner.filter_of(row);
+                out[f * hw..(f + 1) * hw].copy_from_slice(plane);
+            }
         }
-        (all_planes, times)
+        times
     }
 }
 
@@ -149,15 +160,13 @@ impl ConvExecutor for ParallelPattern {
         let s = input.shape4();
         assert_eq!(s.c, g.in_channels, "input channel mismatch");
         let in_img = g.in_channels * g.in_h * g.in_w;
-        let out_hw = g.out_h * g.out_w;
-        let out_img = g.out_channels * out_hw;
+        let out_img = g.out_channels * g.out_h * g.out_w;
         let mut out = Tensor::zeros(&[s.n, g.out_channels, g.out_h, g.out_w]);
         for n in 0..s.n {
-            let (planes, _) = self.compute_planes(&input.data()[n * in_img..(n + 1) * in_img]);
-            let item = &mut out.data_mut()[n * out_img..(n + 1) * out_img];
-            for (f, plane) in planes {
-                item[f * out_hw..(f + 1) * out_hw].copy_from_slice(&plane);
-            }
+            self.run_item(
+                &input.data()[n * in_img..(n + 1) * in_img],
+                &mut out.data_mut()[n * out_img..(n + 1) * out_img],
+            );
         }
         out
     }
@@ -291,6 +300,49 @@ mod tests {
     }
 
     #[test]
+    fn any_thread_count_is_the_serial_run_bit_for_bit() {
+        use crate::test_layers;
+        // A layer whose rows pair up into shared tiles serially: a
+        // thread's round-robin rows group differently, and must not
+        // change a bit for it. Strided, so phases are staged too.
+        let layers = [
+            (test_layers::coincident(12, 6, 4, 61).1, 12, 6),
+            (test_layers::pruned(7, 5, 3, 17, 62).1, 7, 5),
+        ];
+        for (fkw, oc, ic) in layers {
+            for (hw, stride) in [(13, 1), (16, 2)] {
+                let geo = Conv2dGeometry::new(oc, ic, 3, 3, hw, hw, stride, 1);
+                let bias: Vec<f32> = (0..oc).map(|f| f as f32 * 0.1 - 0.3).collect();
+                let x = Tensor::randn(&[2, ic, hw, hw], &mut Rng::seed_from(63));
+                for level in OptLevel::all() {
+                    let exec = || {
+                        PatternConv::new(
+                            geo,
+                            fkw.clone(),
+                            Some(bias.clone()),
+                            level,
+                            TuningConfig::tuned_default(),
+                        )
+                        .with_relu(true)
+                    };
+                    let serial = exec().run(&x);
+                    for threads in [1, 2, 5] {
+                        for schedule in [Schedule::Contiguous, Schedule::Balanced] {
+                            let par = ParallelPattern::new(exec(), threads, schedule);
+                            assert_eq!(
+                                par.run(&x),
+                                serial,
+                                "{} x{threads} {schedule:?}",
+                                level.label()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn parallel_dense_matches_serial() {
         let mut rng = Rng::seed_from(3);
         let geo = Conv2dGeometry::new(10, 4, 3, 3, 9, 9, 1, 1);
@@ -357,7 +409,7 @@ mod tests {
                 16,
                 "{schedule:?}: no empty row assignments"
             );
-            assert!(par.assignments.iter().all(|rows| !rows.is_empty()));
+            assert!(par.assignments.iter().all(|rows| rows.len() > 0));
             let (out, times) = par.run_timed(&input);
             assert!(serial.approx_eq(&out, 1e-5), "{schedule:?}");
             assert_eq!(
@@ -372,7 +424,7 @@ mod tests {
     fn balanced_schedule_distributes_rows_evenly() {
         let (_, exec, _) = pattern_exec(4);
         let par = ParallelPattern::new(exec, 5, Schedule::Balanced);
-        let sizes: Vec<usize> = par.assignments.iter().map(Vec::len).collect();
+        let sizes: Vec<usize> = par.assignments.iter().map(RowSet::len).collect();
         let max = sizes.iter().max().unwrap();
         let min = sizes.iter().min().unwrap();
         assert!(max - min <= 1, "sizes {sizes:?}");

@@ -5,37 +5,35 @@
 //! arrays (reorder, per-pattern kernel runs, per-kernel channel index)
 //! but computes with exact `i8 × i8 → i32` arithmetic:
 //!
-//! 1. the input planes are quantized once per item with the layer's
-//!    calibrated activation scale (persisted in the artifact),
-//! 2. every stored kernel accumulates into an `i32` plane — borrow-free
-//!    inside the pixel loops, with the same 4-wide LRE fast path as the
-//!    `f32` executor, reading 1-byte instead of 4-byte activations,
-//! 3. each filter plane dequantizes with a single multiply
-//!    (`act_scale · filter_scale`) and the `f32` bias is added last.
+//! 1. the input is quantized once per item with the layer's calibrated
+//!    activation scale (persisted in the artifact) — at the tiled levels
+//!    straight into the `i16` staged image the tile reads,
+//! 2. every stored kernel accumulates into `i32`: at
+//!    [`OptLevel::ReorderLre`] and [`OptLevel::Full`] in the same
+//!    output-stationary register tile as the `f32` executor, with each
+//!    kernel's taps pre-packed as `(w_e, w_e+1)` pairs so one
+//!    `madd_epi16` retires two taps (see
+//!    [`patdnn_tensor::kernels::pattern_tile`]); at the two baseline
+//!    levels in the per-pixel checked body,
+//! 3. each filter's outputs dequantize with a single multiply
+//!    (`act_scale · filter_scale`), the `f32` bias is added last and the
+//!    step's ReLU, when fused, follows — in the tile's epilogue, so the
+//!    plane is written once.
 //!
 //! The executor honors the step's persisted [`OptLevel`] and
-//! [`TuningConfig`] the same way the `f32` one does: the LRE fast path
-//! is gated on the opt level, and `Full` adds `unroll_oc`-row
-//! filter-level chunking so kernels sharing a pattern run reuse
-//! register-resident input spans across adjacent filters.
+//! [`TuningConfig`] exactly as the `f32` one does ([`crate::tile`]).
+//! Integer accumulation is exact and order-independent, so every level,
+//! tile shape and kernel variant produces the same accumulators.
 
-use std::sync::Mutex;
-
-use patdnn_compiler::quant::{quantize_slice_into, QuantFkwLayer};
+use patdnn_compiler::quant::{quantize_with_inv_i16, QuantFkwLayer};
 use patdnn_compiler::tune::space::TuningConfig;
-use patdnn_tensor::kernels;
+use patdnn_core::pattern::Pattern;
+use patdnn_tensor::kernels::{self, pack_tap_pairs_i8, TileEpilogue};
 use patdnn_tensor::{Conv2dGeometry, Tensor};
 
 use crate::executor::ConvExecutor;
 use crate::pattern_exec::OptLevel;
-
-/// Per-call scratch of the INT8 executor: the quantized input image and
-/// the `i32` accumulation planes. Pooled so a warm executor allocates
-/// nothing on the steady-state path.
-struct QuantScratch {
-    qin: Vec<i8>,
-    acc: Vec<i32>,
-}
+use crate::tile::{aligned, unstored_filters, TileJob, TilePlan, ACC_I32, STAGED_I16};
 
 /// Whether worst-case `i8 × i8 → i32` accumulation over `in_c` kernels
 /// of `entries` taps each fits `i32`. Callers that build executors from
@@ -51,20 +49,20 @@ pub struct QuantPatternConv {
     geo: Conv2dGeometry,
     qfkw: QuantFkwLayer,
     bias: Option<Vec<f32>>,
-    level: OptLevel,
-    tuning: TuningConfig,
-    /// `(kh, kw)` taps per pattern, pre-decoded for the inner loops.
+    /// Clamp negatives to zero on the way out (fused activation).
+    relu: bool,
+    /// `(kh, kw)` taps per pattern, for the checked body.
     taps: Vec<Vec<(usize, usize)>>,
     entries: usize,
-    /// `(row, original_filter)` pairs, pre-collected for the chunked
-    /// `Full`-level traversal.
-    rows: Vec<(usize, usize)>,
-    /// Filters with no stored kernels (their planes are bias-only).
+    /// Filters with no storage row (their planes are bias-only).
     unstored: Vec<usize>,
-    /// Pool of reusable scratch sets; concurrent callers each check out
-    /// their own, so `run_into(&self)` stays freely shareable.
-    // lock: rt-quant-scratch
-    scratch: Mutex<Vec<QuantScratch>>,
+    /// The staged layout and tap offsets of the tiled levels, with the
+    /// jobs of every storage row in order; `None` exactly at `NoOpt` and
+    /// `Reorder`.
+    tile: Option<(TilePlan, Vec<TileJob>)>,
+    /// Every kernel's taps as `i16` pairs, for the tile (empty at the
+    /// checked levels).
+    wpairs: Vec<i32>,
 }
 
 impl QuantPatternConv {
@@ -92,31 +90,38 @@ impl QuantPatternConv {
             accumulation_fits_i32(qfkw.in_c, qfkw.entries_per_kernel),
             "i8 accumulation would overflow"
         );
-        let taps = qfkw.patterns.iter().map(|p| p.positions()).collect();
+        let taps = qfkw.patterns.iter().map(Pattern::positions).collect();
         let entries = qfkw.entries_per_kernel;
-        let rows: Vec<(usize, usize)> = qfkw.rows().collect();
-        let mut stored = vec![false; geo.out_channels];
-        for &(_, f) in &rows {
-            stored[f] = true;
-        }
-        let unstored = stored
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| !s)
-            .map(|(f, _)| f)
-            .collect();
+        let (tile, wpairs) = match level {
+            OptLevel::NoOpt | OptLevel::Reorder => (None, Vec::new()),
+            OptLevel::ReorderLre | OptLevel::Full => {
+                let mut wpairs = Vec::with_capacity(qfkw.qweights.len().div_ceil(2));
+                for kernel in qfkw.qweights.chunks(entries.max(1)) {
+                    pack_tap_pairs_i8(kernel, &mut wpairs);
+                }
+                let plan = TilePlan::new(&geo, &qfkw, level, &tuning, true);
+                let jobs = plan.jobs_for(&plan.serial_rows());
+                (Some((plan, jobs)), wpairs)
+            }
+        };
         QuantPatternConv {
+            unstored: unstored_filters(geo.out_channels, &qfkw.reorder),
             geo,
             qfkw,
             bias,
-            level,
-            tuning,
+            relu: false,
             taps,
             entries,
-            rows,
-            unstored,
-            scratch: Mutex::new(Vec::new()),
+            tile,
+            wpairs,
         }
+    }
+
+    /// Fuses `max(0)` into the executor's output (the tile's epilogue at
+    /// the tiled levels).
+    pub fn with_relu(mut self, relu: bool) -> Self {
+        self.relu = relu;
+        self
     }
 
     /// The quantized FKW storage backing this executor.
@@ -129,9 +134,35 @@ impl QuantPatternConv {
         self.qfkw.act_scale
     }
 
+    fn bias_of(&self, f: usize) -> f32 {
+        self.bias.as_ref().map_or(0.0, |b| b[f])
+    }
+
+    /// The dequantization multiplier of filter `f`.
+    fn scale_of(&self, f: usize) -> f32 {
+        self.qfkw.act_scale * self.qfkw.scales[f]
+    }
+
+    /// `acc as f32 * scale + bias`, then the fused ReLU: the one
+    /// output expression of every level.
+    fn finish(&self, f: usize, acc: i32) -> f32 {
+        let y = acc as f32 * self.scale_of(f) + self.bias_of(f);
+        if self.relu {
+            y.max(0.0)
+        } else {
+            y
+        }
+    }
+
     /// Accumulates one kernel over the whole output plane with per-pixel
-    /// bounds checks (borders, and the whole plane for stride > 1).
-    fn kernel_plane_checked(&self, taps: &[(usize, usize)], w: &[i8], inp: &[i8], acc: &mut [i32]) {
+    /// bounds checks: the body of the `NoOpt` and `Reorder` baselines.
+    fn kernel_plane_checked(
+        &self,
+        taps: &[(usize, usize)],
+        w: &[i8],
+        inp: &[i16],
+        acc: &mut [i32],
+    ) {
         let g = &self.geo;
         for oh in 0..g.out_h {
             let orow = oh * g.out_w;
@@ -149,126 +180,33 @@ impl QuantPatternConv {
         }
     }
 
-    /// Accumulates one kernel with the LRE fast path (stride 1): per
-    /// tap, each output row reduces to one contiguous span-accumulate
-    /// `acc[lo..hi] += w · input[lo'..hi']` with the tap weight hoisted
-    /// into a register — no per-pixel bounds checks. The span runs
-    /// through the dispatched [`kernels`] `axpy_i8` tile (8-lane
-    /// sign-extended i32 math on AVX2, portable loop otherwise); integer
-    /// accumulation is order-independent, so both variants are
-    /// bit-identical.
-    fn kernel_plane_lre(&self, taps: &[(usize, usize)], w: &[i8], inp: &[i8], acc: &mut [i32]) {
+    /// The checked levels: every storage row's kernels into a pooled
+    /// `i32` plane, then dequantized into the row's filter.
+    fn run_item_checked(&self, qin: &[i16], out: &mut [f32]) {
         let g = &self.geo;
-        debug_assert_eq!(g.stride, 1, "LRE fast path requires stride 1");
-        let kernel = kernels::active_kernel();
-        for (e, &(kh, kw)) in taps.iter().enumerate() {
-            let wv = w[e] as i32;
-            // Valid output columns for this tap: `ow + kw - pad` in
-            // `[0, in_w)`; everything outside reads implicit zero pad.
-            let lo = g.pad.saturating_sub(kw);
-            let hi = (g.in_w + g.pad - kw).min(g.out_w);
-            if lo >= hi {
-                continue;
-            }
-            for oh in 0..g.out_h {
-                let ih = oh + kh;
-                if ih < g.pad || ih - g.pad >= g.in_h {
-                    continue;
-                }
-                let ibase = (ih - g.pad) * g.in_w + lo + kw - g.pad;
-                let orow = oh * g.out_w;
-                kernel.axpy_i8(
-                    wv,
-                    &inp[ibase..ibase + hi - lo],
-                    &mut acc[orow + lo..orow + hi],
-                );
-            }
-        }
-    }
-
-    /// Accumulates every kernel of one storage row into `acc`.
-    fn accumulate_row(&self, row: usize, qin: &[i8], acc: &mut [i32], lre_ok: bool) {
-        let g = &self.geo;
-        let in_hw = g.in_h * g.in_w;
-        for p in 0..self.qfkw.patterns.len() {
-            let taps = &self.taps[p];
-            for k in self.qfkw.pattern_run(row, p) {
-                let ic = self.qfkw.index[k] as usize;
-                let w = &self.qfkw.qweights[k * self.entries..(k + 1) * self.entries];
-                let in_plane = &qin[ic * in_hw..(ic + 1) * in_hw];
-                if lre_ok {
-                    self.kernel_plane_lre(taps, w, in_plane, acc);
-                } else {
-                    self.kernel_plane_checked(taps, w, in_plane, acc);
+        let (in_hw, hw) = (g.in_h * g.in_w, g.out_h * g.out_w);
+        let mut acc_buf = ACC_I32.take(hw);
+        let acc = aligned(&mut acc_buf, hw);
+        for (row, f) in self.qfkw.rows() {
+            acc.fill(0);
+            for (p, taps) in self.taps.iter().enumerate() {
+                for k in self.qfkw.pattern_run(row, p) {
+                    let ic = self.qfkw.index[k] as usize;
+                    let w = &self.qfkw.qweights[k * self.entries..(k + 1) * self.entries];
+                    self.kernel_plane_checked(taps, w, &qin[ic * in_hw..(ic + 1) * in_hw], acc);
                 }
             }
-        }
-    }
-
-    /// Dequantizes one accumulated filter plane into the output.
-    fn writeback(&self, f: usize, acc: &[i32], out_plane: &mut [f32]) {
-        let s = self.qfkw.act_scale * self.qfkw.scales[f];
-        let b = self.bias.as_ref().map_or(0.0, |b| b[f]);
-        for (o, &a) in out_plane.iter_mut().zip(acc) {
-            *o = a as f32 * s + b;
-        }
-    }
-
-    fn run_batch_item(&self, qin: &[i8], out: &mut [f32], acc: &mut [i32]) {
-        let g = &self.geo;
-        let out_hw = g.out_h * g.out_w;
-        let lre_ok =
-            g.stride == 1 && self.level != OptLevel::NoOpt && self.level != OptLevel::Reorder;
-        if self.level == OptLevel::Full {
-            // Filter-level LRE: unroll_oc adjacent rows interleave their
-            // pattern runs so shared input spans stay register-resident.
-            let uoc = self.tuning.unroll_oc.max(1);
-            for chunk in self.rows.chunks(uoc) {
-                let acc = &mut acc[..chunk.len() * out_hw];
-                acc.fill(0);
-                for p in 0..self.qfkw.patterns.len() {
-                    let taps = &self.taps[p];
-                    for (j, &(row, _)) in chunk.iter().enumerate() {
-                        let plane = &mut acc[j * out_hw..(j + 1) * out_hw];
-                        for k in self.qfkw.pattern_run(row, p) {
-                            let ic = self.qfkw.index[k] as usize;
-                            let w = &self.qfkw.qweights[k * self.entries..(k + 1) * self.entries];
-                            let in_plane = &qin[ic * g.in_h * g.in_w..(ic + 1) * g.in_h * g.in_w];
-                            if lre_ok {
-                                self.kernel_plane_lre(taps, w, in_plane, plane);
-                            } else {
-                                self.kernel_plane_checked(taps, w, in_plane, plane);
-                            }
-                        }
-                    }
-                }
-                for (j, &(_, f)) in chunk.iter().enumerate() {
-                    self.writeback(
-                        f,
-                        &acc[j * out_hw..(j + 1) * out_hw],
-                        &mut out[f * out_hw..(f + 1) * out_hw],
-                    );
-                }
-            }
-        } else {
-            for &(row, f) in &self.rows {
-                let acc = &mut acc[..out_hw];
-                acc.fill(0);
-                self.accumulate_row(row, qin, acc, lre_ok);
-                self.writeback(f, acc, &mut out[f * out_hw..(f + 1) * out_hw]);
+            for (o, &a) in out[f * hw..(f + 1) * hw].iter_mut().zip(acc.iter()) {
+                *o = self.finish(f, a);
             }
         }
-        // Filters with no stored kernels never accumulate; their planes
-        // still need the bias (matching the f32 executor's init).
-        for &f in &self.unstored {
-            let b = self.bias.as_ref().map_or(0.0, |b| b[f]);
-            out[f * out_hw..(f + 1) * out_hw].fill(b);
-        }
+        ACC_I32.give(acc_buf);
     }
 
     /// Runs the layer into a caller-provided output tensor (the serving
     /// engine's buffer-reuse path). The `f32` input is quantized once per
-    /// batch item with the persisted activation scale.
+    /// batch item with the persisted activation scale; a warm call
+    /// allocates nothing.
     ///
     /// # Panics
     ///
@@ -283,39 +221,54 @@ impl QuantPatternConv {
             "output buffer shape mismatch"
         );
         let in_img = g.in_channels * g.in_h * g.in_w;
-        let out_img = g.out_channels * g.out_h * g.out_w;
-        let acc_planes = if self.level == OptLevel::Full {
-            self.tuning.unroll_oc.max(1)
-        } else {
-            1
-        };
-        // Check a scratch set out of the pool (sizes are fixed per
-        // executor, so a reused set never reallocates: the warm serving
-        // path stays allocation-free).
-        let mut scratch = self
-            .scratch
-            .lock()
-            .expect("quant scratch pool")
-            .pop()
-            .unwrap_or(QuantScratch {
-                qin: Vec::new(),
-                acc: Vec::new(),
-            });
-        scratch.qin.resize(in_img, 0);
-        scratch.acc.resize(acc_planes * g.out_h * g.out_w, 0);
+        let hw = g.out_h * g.out_w;
+        let out_img = g.out_channels * hw;
+        let inv = 1.0 / self.qfkw.act_scale;
+        let quantize = |x: f32| quantize_with_inv_i16(x, inv);
+        let kernel = kernels::active_kernel();
+        // The quantized input — the staged image at the tiled levels,
+        // the plain item at the checked ones — comes from the shared
+        // scratch pool.
+        let staged_len = self
+            .tile
+            .as_ref()
+            .map_or(in_img, |(plan, _)| plan.layout.len());
+        let mut staged_buf = STAGED_I16.take(staged_len);
+        let staged = aligned(&mut staged_buf, staged_len);
         for n in 0..s.n {
             let ind = &input.data()[n * in_img..(n + 1) * in_img];
-            quantize_slice_into(ind, self.qfkw.act_scale, &mut scratch.qin);
-            self.run_batch_item(
-                &scratch.qin,
-                &mut out.data_mut()[n * out_img..(n + 1) * out_img],
-                &mut scratch.acc,
-            );
+            let outd = &mut out.data_mut()[n * out_img..(n + 1) * out_img];
+            match &self.tile {
+                Some((plan, jobs)) => {
+                    plan.layout.stage(ind, staged, quantize);
+                    plan.run_jobs(
+                        jobs,
+                        staged,
+                        &self.wpairs,
+                        outd,
+                        |job| TileEpilogue {
+                            scale: job.filters.map(|f| self.scale_of(f)),
+                            bias: job.filters.map(|f| self.bias_of(f)),
+                            relu: self.relu,
+                        },
+                        |tile, epi, buf| kernel.pattern_tile_i8(tile, epi, buf),
+                    );
+                }
+                // `NoOpt` and `Reorder`: the per-pixel checked body.
+                None => {
+                    for (q, &x) in staged.iter_mut().zip(ind) {
+                        *q = quantize(x);
+                    }
+                    self.run_item_checked(staged, outd);
+                }
+            }
+            // Filters without a storage row never accumulate; their
+            // planes are the bias alone.
+            for &f in &self.unstored {
+                outd[f * hw..(f + 1) * hw].fill(self.finish(f, 0));
+            }
         }
-        self.scratch
-            .lock()
-            .expect("quant scratch pool")
-            .push(scratch);
+        STAGED_I16.give(staged_buf);
     }
 }
 
@@ -398,6 +351,118 @@ mod tests {
                 level.label(),
                 want.max_abs_diff(&got)
             );
+        }
+    }
+
+    /// `(kernel, stride, pad, input size)`, as the `f32` executor's grid.
+    const SHAPES: [(usize, usize, usize, usize); 7] = [
+        (3, 1, 1, 11),
+        (3, 1, 0, 10),
+        (3, 2, 1, 9),
+        (3, 3, 1, 13),
+        (1, 1, 0, 7),
+        (1, 2, 0, 8),
+        (1, 3, 1, 9),
+    ];
+
+    /// The layer's input requantized and dequantized as the executor
+    /// sees it.
+    fn dequantized(x: &Tensor, scale: f32) -> Tensor {
+        let q = quantize_slice(x.data(), scale);
+        Tensor::from_vec(x.shape(), q.iter().map(|&q| q as f32 * scale).collect())
+            .expect("dequantized input")
+    }
+
+    #[test]
+    fn every_level_shape_and_unroll_is_one_exact_integer_result() {
+        use crate::test_layers;
+        for (k, stride, pad, hw) in SHAPES {
+            // 14 kernels over 6 filters of 5 channels, and a layer with
+            // coincident rows for the shared tiles.
+            let mut layers = vec![test_layers::pruned(6, 5, k, 14, 70 + k as u64).1];
+            if k == 3 {
+                layers.push(test_layers::coincident(8, 5, 2, 71).1);
+            }
+            for fkw in layers {
+                let geo = Conv2dGeometry::new(fkw.out_c, 5, k, k, hw, hw, stride, pad);
+                let x = Tensor::randn(&[3, 5, hw, hw], &mut Rng::seed_from(72));
+                let bias: Vec<f32> = (0..fkw.out_c).map(|f| f as f32 * 0.3 - 0.8).collect();
+                let qfkw = QuantFkwLayer::from_fkw(&fkw, max_abs(x.data()));
+                let with = |level, unroll_oc| {
+                    let tuning = TuningConfig {
+                        unroll_oc,
+                        ..TuningConfig::tuned_default()
+                    };
+                    QuantPatternConv::new(geo, qfkw.clone(), Some(bias.clone()), level, tuning)
+                };
+                // The checked body is the oracle: integer accumulation is
+                // exact, so the tile must reproduce it to the bit.
+                let want = with(OptLevel::Reorder, 1).run(&x);
+                let reference = PatternConv::new(
+                    geo,
+                    qfkw.to_fkw(),
+                    Some(bias.clone()),
+                    OptLevel::Reorder,
+                    TuningConfig::tuned_default(),
+                )
+                .run(&dequantized(&x, qfkw.act_scale));
+                assert!(reference.approx_eq(&want, 1e-3), "k{k} s{stride} p{pad}");
+                for level in OptLevel::all() {
+                    for unroll_oc in [1, 2, 4, 7] {
+                        let exec = with(level, unroll_oc);
+                        let got = exec.run(&x);
+                        assert_eq!(got, want, "{} unroll_oc {unroll_oc}", level.label());
+                        // Batch 3 is its items, bit for bit.
+                        let item_len = x.len() / 3;
+                        for n in 0..3 {
+                            let item = Tensor::from_vec(
+                                &[1, 5, hw, hw],
+                                x.data()[n * item_len..(n + 1) * item_len].to_vec(),
+                            )
+                            .expect("one item");
+                            let alone = exec.run(&item);
+                            assert_eq!(
+                                &got.data()[n * alone.len()..(n + 1) * alone.len()],
+                                alone.data()
+                            );
+                        }
+                        let mut relu = want.clone();
+                        relu.map_inplace(|v| v.max(0.0));
+                        assert_eq!(exec.with_relu(true).run(&x), relu);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_int8_filter_without_stored_kernels_is_its_bias() {
+        use crate::test_layers;
+        let fkw = test_layers::pruned(8, 4, 3, 5, 41).1;
+        let empty: Vec<usize> = fkw
+            .rows()
+            .filter(|&(row, _)| fkw.offsets[row] == fkw.offsets[row + 1])
+            .map(|(_, f)| f)
+            .collect();
+        assert!(empty.len() >= 3);
+        let geo = Conv2dGeometry::new(8, 4, 3, 3, 9, 9, 1, 1);
+        let bias: Vec<f32> = (0..8).map(|f| f as f32 - 3.5).collect();
+        let x = Tensor::randn(&[1, 4, 9, 9], &mut Rng::seed_from(43));
+        let qfkw = QuantFkwLayer::from_fkw(&fkw, max_abs(x.data()));
+        for level in OptLevel::all() {
+            let exec = QuantPatternConv::new(
+                geo,
+                qfkw.clone(),
+                Some(bias.clone()),
+                level,
+                TuningConfig::tuned_default(),
+            );
+            let out = exec.run(&x);
+            for &f in &empty {
+                assert!(out.data()[f * 81..(f + 1) * 81]
+                    .iter()
+                    .all(|&v| v == bias[f]));
+            }
         }
     }
 

@@ -240,7 +240,8 @@ impl QuantFcExec {
 
 struct Step {
     exec: StepExec,
-    /// Apply ReLU to this step's output (fused activation).
+    /// Apply ReLU to this step's output after it ran. Always false for
+    /// the direct pattern executors, which fuse it into their epilogue.
     relu: bool,
     /// Slots read, in op order (slot 0 is the network input).
     inputs: Vec<usize>,
@@ -321,7 +322,9 @@ impl Engine {
                     // The step's persisted config drives the executor;
                     // only the thread schedule can be overridden at load.
                     let cfg = plan_step.exec;
-                    let exec = match cfg.algo {
+                    match cfg.algo {
+                        // The direct executors fuse the step's ReLU into
+                        // their output, so the plane is written once.
                         ConvAlgo::Direct => {
                             let exec = PatternConv::new(
                                 geo,
@@ -329,9 +332,10 @@ impl Engine {
                                 bias.clone(),
                                 cfg.opt_level,
                                 cfg.tuning,
-                            );
+                            )
+                            .with_relu(*relu);
                             let threads = opts.threads.unwrap_or(cfg.threads);
-                            if threads > 1 {
+                            let exec = if threads > 1 {
                                 StepExec::PatternPar(ParallelPattern::new(
                                     exec,
                                     threads,
@@ -339,21 +343,27 @@ impl Engine {
                                 ))
                             } else {
                                 StepExec::Pattern(exec)
-                            }
+                            };
+                            (exec, false)
                         }
-                        ConvAlgo::Im2col => StepExec::Im2col(Im2colConv::new(
-                            geo,
-                            &fkw.to_dense(),
-                            bias.clone().unwrap_or_default(),
-                        )),
+                        ConvAlgo::Im2col => (
+                            StepExec::Im2col(Im2colConv::new(
+                                geo,
+                                &fkw.to_dense(),
+                                bias.clone().unwrap_or_default(),
+                            )),
+                            *relu,
+                        ),
                         // Eligibility was proven by the verifier.
-                        ConvAlgo::Winograd => StepExec::Winograd(WinogradConv::new(
-                            geo,
-                            &fkw.to_dense(),
-                            bias.clone().unwrap_or_default(),
-                        )),
-                    };
-                    (exec, *relu)
+                        ConvAlgo::Winograd => (
+                            StepExec::Winograd(WinogradConv::new(
+                                geo,
+                                &fkw.to_dense(),
+                                bias.clone().unwrap_or_default(),
+                            )),
+                            *relu,
+                        ),
+                    }
                 }
                 LayerPlan::DenseConv {
                     stride,
@@ -420,8 +430,9 @@ impl Engine {
                         bias.clone(),
                         cfg.opt_level,
                         cfg.tuning,
-                    );
-                    (StepExec::QuantPattern(exec), *relu)
+                    )
+                    .with_relu(*relu);
+                    (StepExec::QuantPattern(exec), false)
                 }
                 LayerPlan::QuantFc {
                     out_f,

@@ -20,22 +20,26 @@
 //!   (up to timer noise).
 //!
 //! The analytic cost model is not a cycle-accurate simulator; it is a
-//! smooth, deterministic surface that ranks configurations the way the
-//! executor's loop structure does (amortized dispatch under
-//! output-channel unrolling, cache-driven spatial blocking, wasted
-//! traversal when tiles exceed the layer), which is what the estimator
-//! needs to learn and what makes per-layer choices non-uniform across a
-//! real network.
+//! deterministic surface in units of one stored multiply-accumulate of
+//! the tiled executor, built from what the executor really does with a
+//! configuration after clamping ([`EffectiveTuning`]): how many tile
+//! calls and staged elements the layer costs, whether the job loop ends
+//! up blocked and how much of a block L1 holds, and how many filters
+//! share a tile. Knobs the output-stationary tile ignores (`permute`,
+//! `unroll_w`) leave the surface flat, so the estimator cannot be talked
+//! into preferring one value of them.
 
 use std::time::Instant;
 
 use patdnn_compiler::fkw::FkwLayer;
 use patdnn_compiler::tune::ga::GaConfig;
-use patdnn_compiler::tune::space::{ConfigSpace, ConvAlgo, LoopPermutation, TuningConfig};
+use patdnn_compiler::tune::space::{ConfigSpace, ConvAlgo, TuningConfig};
 use patdnn_compiler::tune::{AutoTuner, PerfEstimator};
 use patdnn_runtime::executor::ConvExecutor;
 use patdnn_runtime::parallel::{ParallelPattern, Schedule};
 use patdnn_runtime::pattern_exec::{OptLevel, PatternConv};
+use patdnn_runtime::tile::{EffectiveTuning, L1_BYTES};
+use patdnn_tensor::kernels::{StagedLayout, TileShape};
 use patdnn_tensor::rng::Rng;
 use patdnn_tensor::{Conv2dGeometry, Tensor};
 
@@ -71,97 +75,169 @@ impl TunePolicy {
     }
 }
 
-/// An approximate L1 working-set budget; spatial blocking starts paying
-/// off once a layer's input image overflows it.
-const L1_BYTES: f64 = 32.0 * 1024.0;
+// The constants below are per-MAC rates measured on the 2-core AVX2
+// machine this was developed on (3×3, stride 1, pad 1, `c → c` channels,
+// pruned 3.6× and unpruned-connectivity, batch 1, best of 30 × 10 runs),
+// in picoseconds per multiply-accumulate:
+//
+// | layer        | Full tile | ReorderLre | Reorder / NoOpt | im2col  | Winograd |
+// |              | (stored)  | (stored)   | (stored)        | (dense) | (dense)  |
+// |--------------|-----------|------------|-----------------|---------|----------|
+// | 16 @ 32×32   | 41–60     | 50–63      | 1710–1740       | 150–155 | 119      |
+// | 32 @ 16×16   | 38–49     | 44–48      | 1580–1630       | 87–89   | 111      |
+// | 64 @ 16×16   | 46        | 48         | 1620–1640       | 57–58   | 99–100   |
+// | 64 @ 8×8     | 31–37     | 31–36      | 1610–1640       | 57      | 94       |
+// | 128 @ 8×8    | 39–40     | 38–40      | 1630–1640       | 40      | 92–96    |
+//
+// One cost unit is one stored MAC of the tiled executor on a layer
+// where the tile's fixed costs are amortized (≈ 38 ps). The spread of
+// the first column is those fixed costs — a tile call with few kernels
+// to walk, the staging copy — which are priced separately below.
 
-/// Deterministic analytic cost (arbitrary units, lower is better) of
-/// running one pattern layer at `level` with `cfg`.
+/// Cost of one stored MAC at each level, in units of the `Full` tile's.
+/// The two checked baselines pay a bounds test per tap per pixel and
+/// re-read the output plane per kernel: forty times the tile.
+/// `ReorderLre` is `Full` with nothing shared and nothing blocked —
+/// never faster, equal when a layer offers neither — and the 2 % keeps
+/// such a tie from selecting the lower level.
+fn level_factor(level: OptLevel) -> f64 {
+    match level {
+        OptLevel::NoOpt => 43.0,
+        OptLevel::Reorder => 42.0,
+        OptLevel::ReorderLre => 1.02,
+        OptLevel::Full => 1.0,
+    }
+}
+
+/// Fixed cost of one tile call (dispatch, bounds checks, zeroing and
+/// storing eight vectors), in MACs: the 16-channel 32×32 layer spends
+/// 20 ps per MAC more than the amortized rate over 256 calls.
+const TILE_CALL_MACS: f64 = 600.0;
+
+/// Cost of staging one input element, halo writes included, in MACs
+/// (16 k elements in 5 µs).
+const STAGE_ELEMENT_MACS: f64 = 8.0;
+
+/// Share of a layer's MACs lost to L2 traffic when the staged image
+/// overflows L1 and the job loop is not blocked (blocking the 32×32 and
+/// 16×16 layers above recovered 4–8 %).
+const UNBLOCKED_PENALTY: f64 = 0.06;
+
+/// Share of a coincident filter's MACs saved by sharing a tile: its
+/// input loads come from registers, but every filter keeps its own
+/// weight broadcasts, and the tile is load-port-bound either way.
+const SHARED_TILE_GAIN: f64 = 0.2;
+
+/// What the cost surface needs to know about a layer beyond its
+/// geometry, computed once per layer rather than once per candidate
+/// configuration.
+struct LayerCost<'a> {
+    geo: &'a Conv2dGeometry,
+    /// Stored MACs per output plane set.
+    macs: f64,
+    rows: usize,
+    /// Rows that end up sharing a tile when it may carry 2 and 4
+    /// filters, as the executor itself groups them.
+    shared_rows: [usize; 2],
+    layout: StagedLayout,
+}
+
+impl<'a> LayerCost<'a> {
+    fn new(geo: &'a Conv2dGeometry, fkw: &FkwLayer) -> Self {
+        let shared = |unroll_oc: usize| {
+            let tuning = TuningConfig {
+                unroll_oc,
+                ..TuningConfig::tuned_default()
+            };
+            PatternConv::new(*geo, fkw.clone(), None, OptLevel::Full, tuning).rows_sharing_a_tile()
+        };
+        LayerCost {
+            geo,
+            macs: (fkw.stored_kernels() * fkw.entries_per_kernel * geo.out_h * geo.out_w) as f64,
+            rows: fkw.out_c,
+            shared_rows: [shared(2), shared(4)],
+            layout: StagedLayout::new(geo, 1),
+        }
+    }
+
+    fn cost(&self, level: OptLevel, cfg: &TuningConfig) -> f64 {
+        let geo = self.geo;
+        let mut cost = self.macs * level_factor(level);
+        if matches!(level, OptLevel::NoOpt | OptLevel::Reorder) {
+            // The checked body reads the raw input: no tiles, no staging,
+            // and no knob reaches it.
+            return cost;
+        }
+        let eff = EffectiveTuning::new(geo, level, cfg, false);
+        let shape = TileShape::for_plane(geo.out_w, 1, 1);
+        let tiles_per_plane = geo.out_h.div_ceil(shape.rows()) * geo.out_w.div_ceil(shape.cols());
+        cost += TILE_CALL_MACS * (self.rows * tiles_per_plane) as f64;
+        cost += STAGE_ELEMENT_MACS * (geo.in_channels * geo.in_h * geo.in_w) as f64;
+
+        // Filter-level LRE pays on exactly the rows the executor groups.
+        let shared = match eff.max_filters {
+            4 => self.shared_rows[1],
+            2 => self.shared_rows[0],
+            _ => 0,
+        };
+        cost -= SHARED_TILE_GAIN * self.macs * shared as f64 / self.rows as f64;
+
+        // An image past L1 streams from L2 on every filter's walk unless
+        // the loop is blocked; a block helps by the share of it L1 holds,
+        // and every block of jobs re-walks the image once.
+        let (image, l1) = ((self.layout.len() * 4) as f64, L1_BYTES as f64);
+        if image > l1 {
+            let exposed = match eff.block {
+                Some((jobs, rows)) => {
+                    let block = (self.layout.block_len(rows.min(geo.out_h)) * 4) as f64;
+                    let spill = ((block - l1) / (image - l1)).clamp(0.0, 1.0);
+                    let passes = self.rows.div_ceil(jobs) as f64;
+                    spill + (1.0 - spill) * 0.25 * (1.0 - 1.0 / passes)
+                }
+                None => 1.0,
+            };
+            cost += UNBLOCKED_PENALTY * self.macs * exposed;
+        }
+        cost
+    }
+}
+
+/// Deterministic analytic cost (in stored MACs of the tiled executor,
+/// lower is better) of running one pattern layer at `level` with `cfg`.
 ///
-/// The tuning knobs only steer the `Full` executor — the lower levels
-/// ignore them, so their cost is configuration-independent (a fixed
-/// overhead factor shaped like Figure 13's ablation).
+/// The tuning knobs only steer the `Full` executor, and only through
+/// what [`EffectiveTuning`] makes of them: `unroll_oc` (clamped to 1, 2
+/// or 4) on rows whose kernels coincide, `blocked`/`tile_oc`/`tile_hw`
+/// (rounded and clamped to L1) on layers whose staged image overflows
+/// it. The lower levels ignore them, so their cost is
+/// configuration-independent.
 pub fn analytic_cost(
     geo: &Conv2dGeometry,
     fkw: &FkwLayer,
     level: OptLevel,
     cfg: &TuningConfig,
 ) -> f64 {
-    let out_hw = (geo.out_h * geo.out_w) as f64;
-    let macs = (fkw.stored_kernels() * fkw.entries_per_kernel) as f64 * out_hw;
-    let level_factor = match level {
-        OptLevel::NoOpt => 1.60,
-        OptLevel::Reorder => 1.28,
-        OptLevel::ReorderLre => 1.08,
-        OptLevel::Full => 1.0,
-    };
-    let mut cost = macs * level_factor;
-    if level != OptLevel::Full {
-        return cost;
-    }
-    let rows = fkw.out_c as f64;
-    let kernels_per_row = (fkw.stored_kernels() as f64 / rows).max(1.0);
-
-    // Output-channel unrolling amortizes the per-row pattern dispatch,
-    // but chunks wider than the row's kernel runs reload more than they
-    // reuse (filter-level LRE only pays within shared traversals).
-    cost += 0.06 * macs / cfg.unroll_oc as f64;
-    cost += (cfg.unroll_oc as f64 / kernels_per_row).max(1.0).ln() * 0.06 * macs;
-
-    // Output-channel tiling: fewer tiles mean less tile-loop overhead,
-    // but tiles wider than the layer are pure wasted traversal.
-    let eff_tile_oc = cfg.tile_oc.min(fkw.out_c) as f64;
-    cost += 0.04 * macs * (1.0 - eff_tile_oc / rows);
-    cost += (cfg.tile_oc as f64 / rows).max(1.0).ln() * 0.05 * macs;
-
-    // Spatial blocking pays once the input image overflows L1; on
-    // cache-resident layers it is pure loop overhead. Oversized spatial
-    // tiles approximate the unblocked loop.
-    let in_bytes = (geo.in_channels * geo.in_h * geo.in_w * 4) as f64;
-    let tile_rows_bytes = cfg.tile_hw as f64 * (geo.in_w * geo.in_channels * 4) as f64;
-    if cfg.blocked {
-        if in_bytes > L1_BYTES {
-            cost -= 0.10 * macs * (L1_BYTES / tile_rows_bytes).min(1.0);
-        } else {
-            cost += 0.02 * macs;
-        }
-    } else if in_bytes > L1_BYTES {
-        cost += 0.06 * macs;
-    }
-    cost += 0.03 * macs * (1.0 - 1.0 / rows_of(cfg.tile_hw, geo.out_h));
-    cost += (cfg.tile_hw as f64 / geo.out_h.max(1) as f64).max(1.0).ln() * 0.04 * macs;
-
-    // CoHWCi keeps a blocked input span register/cache-resident across
-    // filters (the paper's Figure 15 winner is cohwci_b).
-    if cfg.permute == LoopPermutation::CoHwCi && cfg.blocked {
-        cost -= 0.03 * macs;
-    }
-    // The LRE interior path is 4-wide; width unrolls far from it cost
-    // remainder work or spills.
-    cost += (cfg.unroll_w as f64 / 4.0).ln().abs() * 0.02 * macs;
-    cost
+    LayerCost::new(geo, fkw).cost(level, cfg)
 }
 
-/// Spatial tile count for the tile-loop overhead term.
-fn rows_of(tile_hw: usize, out_h: usize) -> f64 {
-    (out_h as f64 / tile_hw.min(out_h.max(1)) as f64).ceil()
-}
+/// Cost of one *dense* MAC through the im2col lowering, in stored MACs
+/// of the tile: the packed GEMM's 57 ps at 64 channels over the tile's
+/// 38 (it is worse below 64 channels, where its panels run half empty,
+/// and reaches parity only at 128).
+const IM2COL_DENSE_FACTOR: f64 = 1.5;
 
-/// Analytic cost of the im2col lowering relative to dense MACs: the
-/// packed GEMM retires dense arithmetic at roughly twice the direct
-/// executor's per-MAC rate, minus the lowering's expand/pack traffic.
-const IM2COL_DENSE_FACTOR: f64 = 0.5;
-
-/// Analytic cost of Winograd `F(2×2, 3×3)` relative to dense MACs:
-/// 16/36 multiplies per tile plus transform overhead.
-const WINOGRAD_DENSE_FACTOR: f64 = 0.35;
+/// Cost of one dense MAC through Winograd `F(2×2, 3×3)`: 92–119 ps of
+/// dense-equivalent work over the tile's 38. The transform arithmetic
+/// and its scalar tile gather outweigh the 16/36 multiply saving at
+/// these sizes.
+const WINOGRAD_DENSE_FACTOR: f64 = 2.5;
 
 /// Analytic cost of a *densified* lowering of this layer, in the same
 /// units as [`analytic_cost`]; `None` when the layer cannot lower that
 /// way (`Direct` has no densified cost, Winograd has eligibility
-/// rules). Calibrated so heavily pruned layers (where the direct
-/// executor's stored-MAC count is far below dense) keep the direct
-/// lowering, and only dense-ish layers densify.
+/// rules). With the measured rates a dense MAC costs more than a stored
+/// one, and a pruned layer stores at most 4/9 of them, so a pattern
+/// layer densifies only if a later kernel change moves these factors.
 pub fn densified_cost(geo: &Conv2dGeometry, fkw: &FkwLayer, algo: ConvAlgo) -> Option<f64> {
     let out_hw = (geo.out_h * geo.out_w) as f64;
     let dense_macs = (fkw.out_c * fkw.in_c * fkw.kernel * fkw.kernel) as f64 * out_hw;
@@ -213,6 +289,7 @@ pub fn estimate_exec_config(
 ) -> ExecConfig {
     let space = ConfigSpace::standard();
     let all = space.enumerate();
+    let layer = LayerCost::new(geo, fkw);
     // Train on a deterministic third of the space; predicting over the
     // full enumeration is the paper's "quick prediction of the optimal
     // configuration parameters" on a new platform.
@@ -220,7 +297,7 @@ pub fn estimate_exec_config(
     let ys: Vec<f64> = all
         .iter()
         .step_by(3)
-        .map(|c| analytic_cost(geo, fkw, OptLevel::Full, c))
+        .map(|c| layer.cost(OptLevel::Full, c))
         .collect();
     let mut est = PerfEstimator::new(xs[0].len(), rng);
     est.fit(&xs, &ys, 30, rng);
@@ -233,13 +310,8 @@ pub fn estimate_exec_config(
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite predictions"))
         .expect("standard space is non-empty")
         .0;
-    let opt_level = cheapest_level(&tuning, |level, cfg| analytic_cost(geo, fkw, level, cfg));
-    let algo = cheapest_algo(
-        geo,
-        fkw,
-        threads,
-        analytic_cost(geo, fkw, opt_level, &tuning),
-    );
+    let opt_level = cheapest_level(&tuning, |level, cfg| layer.cost(level, cfg));
+    let algo = cheapest_algo(geo, fkw, threads, layer.cost(opt_level, &tuning));
     ExecConfig {
         opt_level,
         tuning,
@@ -467,23 +539,98 @@ mod tests {
     }
 
     #[test]
-    fn estimate_keeps_sparse_layers_direct() {
-        // ~25% of kernels kept at 4/9 entries each -> density ~0.11:
-        // the direct executor does a fraction of the dense arithmetic.
-        let (geo, fkw) = pruned_layer(16, 16, 16, 64, 8);
-        let cfg = estimate_exec_config(&geo, &fkw, 1, &mut Rng::seed_from(8));
-        assert_eq!(cfg.algo, ConvAlgo::Direct);
+    fn estimate_keeps_every_pruned_vgg_layer_direct() {
+        use crate::compile::compile_network;
+        use crate::LayerPlan;
+        use patdnn_core::prune::pattern_project_network;
+
+        let mut net = patdnn_nn::models::vgg_small(10, &mut Rng::seed_from(3));
+        pattern_project_network(&mut net, 8, 3.6);
+        let artifact = compile_network("vgg", &net, [3, 32, 32]).expect("compiles");
+        let mut shape = [3usize, 32, 32];
+        let mut convs = 0;
+        for step in &artifact.steps {
+            match &step.op {
+                LayerPlan::PatternConv {
+                    fkw, stride, pad, ..
+                } => {
+                    let geo = Conv2dGeometry::new(
+                        fkw.out_c, fkw.in_c, 3, 3, shape[1], shape[2], *stride, *pad,
+                    );
+                    let cfg = estimate_exec_config(&geo, fkw, 1, &mut Rng::seed_from(8));
+                    assert_eq!(cfg.algo, ConvAlgo::Direct, "layer {convs}");
+                    assert_eq!(cfg.opt_level, OptLevel::Full, "layer {convs}");
+                    shape = [fkw.out_c, geo.out_h, geo.out_w];
+                    convs += 1;
+                }
+                LayerPlan::MaxPool { .. } => shape = [shape[0], shape[1] / 2, shape[2] / 2],
+                _ => {}
+            }
+        }
+        assert_eq!(convs, 6, "every conv of vgg_small is a 3x3 pattern layer");
     }
 
     #[test]
-    fn estimate_densifies_dense_ish_layers_when_serial() {
-        // Every kernel kept (alpha = oc*ic) -> density 4/9: the stored
-        // MACs approach dense and Winograd's 0.35x wins the analytic
-        // run-off — but only on a serial schedule.
+    fn a_winograd_eligible_layer_densifies_only_where_the_costs_say_so() {
+        // Every kernel kept (alpha = oc*ic) -> density 4/9: past the
+        // Winograd gate, so all three lowerings are candidates on a
+        // serial schedule and the choice is the cost comparison's.
         let (geo, fkw) = pruned_layer(16, 16, 16, 256, 9);
+        assert!(winograd_eligible(&geo, &fkw).is_ok());
         let serial = estimate_exec_config(&geo, &fkw, 1, &mut Rng::seed_from(8));
-        assert_eq!(serial.algo, ConvAlgo::Winograd);
+        let direct = analytic_cost(&geo, &fkw, serial.opt_level, &serial.tuning);
+        let cheapest = [ConvAlgo::Im2col, ConvAlgo::Winograd]
+            .into_iter()
+            .filter_map(|algo| densified_cost(&geo, &fkw, algo).map(|cost| (algo, cost)))
+            .filter(|&(_, cost)| cost < direct)
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
+            .map_or(ConvAlgo::Direct, |(algo, _)| algo);
+        assert_eq!(serial.algo, cheapest);
+        // With the measured rates a dense MAC costs more than a stored
+        // one, so even this layer stays direct.
+        assert_eq!(serial.algo, ConvAlgo::Direct);
         let threaded = estimate_exec_config(&geo, &fkw, 2, &mut Rng::seed_from(8));
-        assert_eq!(threaded.algo, ConvAlgo::Direct);
+        assert_eq!(
+            threaded.algo,
+            ConvAlgo::Direct,
+            "threaded steps stay direct"
+        );
+    }
+
+    #[test]
+    fn the_cost_surface_follows_the_executors_clamping() {
+        // A layer whose staged image overflows L1: blocking must pay, and
+        // only through what the executor makes of the knobs.
+        let (geo, fkw) = pruned_layer(32, 32, 32, 284, 12);
+        let base = TuningConfig::tuned_default();
+        let cost = |cfg: &TuningConfig| analytic_cost(&geo, &fkw, OptLevel::Full, cfg);
+        let unblocked = TuningConfig {
+            blocked: false,
+            ..base
+        };
+        assert!(
+            cost(&base) < cost(&unblocked),
+            "blocking an L1-busting layer pays"
+        );
+        // tile_hw 32 and 8 clamp to the same L1-sized block: same cost.
+        let short = TuningConfig { tile_hw: 8, ..base };
+        assert_eq!(
+            EffectiveTuning::new(&geo, OptLevel::Full, &base, false),
+            EffectiveTuning::new(&geo, OptLevel::Full, &short, false)
+        );
+        assert_eq!(cost(&base), cost(&short));
+        // Knobs the tile ignores leave the surface flat.
+        let other = TuningConfig {
+            permute: patdnn_compiler::tune::space::LoopPermutation::CoCiHw,
+            unroll_w: 1,
+            ..base
+        };
+        assert_eq!(cost(&base), cost(&other));
+        // unroll_oc 8 clamps to 4; with no coincident rows it buys nothing.
+        let wide = TuningConfig {
+            unroll_oc: 8,
+            ..base
+        };
+        assert_eq!(cost(&base), cost(&wide));
     }
 }

@@ -5,10 +5,11 @@
 //! A counting global allocator (this test binary's only job — the
 //! allocator is process-global) measures allocations across warm
 //! `infer` calls. The budget is the response envelope only: cloning the
-//! output slot into the returned tensor (data + shape vectors). Every
-//! plan-internal buffer — conv outputs, pool outputs, residual-join
-//! operands — must come from the reused slot set, so the count is flat
-//! in plan depth and identical call over call.
+//! output slot into the returned tensor is two allocations (data +
+//! shape vectors). Every plan-internal buffer — conv outputs, the
+//! pattern executors' staged images, pool outputs, residual-join
+//! operands — must come from reused scratch, so the count is flat in
+//! plan depth *and in batch size*, and identical call over call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,13 +55,19 @@ use patdnn_tensor::rng::Rng;
 use patdnn_tensor::Tensor;
 
 /// The response envelope: the output tensor clone (data vec + shape
-/// vec) plus a small slack for platform-dependent `Vec` behaviour.
-const WARM_CALL_BUDGET: usize = 8;
+/// vec), plus one for platform-dependent `Vec` behaviour.
+const WARM_CALL_BUDGET: usize = 3;
 
-/// Allocations of one warm `infer` call, asserted steady call over call.
+/// Allocations of one warm batch-1 `infer` call, asserted steady call
+/// over call.
 fn count_warm(engine: &Engine, name: &str) -> usize {
+    count_warm_batch(engine, name, 1)
+}
+
+/// Allocations of one warm `infer` call on a batch of `batch` items.
+fn count_warm_batch(engine: &Engine, name: &str, batch: usize) -> usize {
     let mut rng = Rng::seed_from(77);
-    let x = Tensor::randn(&[1, 3, 32, 32], &mut rng);
+    let x = Tensor::randn(&[batch, 3, 32, 32], &mut rng);
 
     // Warm up: first call allocates the slot buffers, second settles any
     // lazy internals.
@@ -82,7 +89,11 @@ fn count_warm(engine: &Engine, name: &str) -> usize {
     per_call
 }
 
-fn warm_allocation_count(mut net: Sequential, name: &str, precision: Precision) -> usize {
+fn warm_allocation_count(net: Sequential, name: &str, precision: Precision) -> usize {
+    count_warm(&pruned_engine(net, name, precision), name)
+}
+
+fn pruned_engine(mut net: Sequential, name: &str, precision: Precision) -> Engine {
     pattern_project_network(&mut net, 8, 3.6);
     let artifact = match precision {
         Precision::F32 => compile_network(name, &net, [3, 32, 32]).expect("compiles"),
@@ -110,7 +121,7 @@ fn warm_allocation_count(mut net: Sequential, name: &str, precision: Precision) 
         engine.packed_weight_bytes() > 0,
         "{name}: weights must pre-pack at engine build"
     );
-    count_warm(&engine, name)
+    engine
 }
 
 /// Allocations of a warm engine whose pattern convs run the *densified*
@@ -173,6 +184,18 @@ fn warm_engines_stay_within_the_response_envelope() {
         quantized <= WARM_CALL_BUDGET,
         "warm int8 infer made {quantized} allocations (budget {WARM_CALL_BUDGET})"
     );
+    // The pattern executors stage every batch item into the same pooled
+    // image, so a batch of 8 allocates what a batch of 1 does.
+    for precision in [Precision::F32, Precision::Int8] {
+        let engine = pruned_engine(vgg_small(10, &mut rng), "vgg_batch8", precision);
+        let one = count_warm(&engine, "vgg_batch8");
+        let eight = count_warm_batch(&engine, "vgg_batch8", 8);
+        assert_eq!(
+            eight, one,
+            "{precision:?}: warm allocations must not scale with the batch ({one} at 1, {eight} at 8)"
+        );
+        assert!(eight <= WARM_CALL_BUDGET);
+    }
     // Densified lowerings (im2col + Winograd) pool their scratch too.
     let dense = warm_allocation_count_densified(vgg_small(10, &mut rng), "vgg_densified");
     assert!(

@@ -1,7 +1,7 @@
 //! Register-tiled SIMD micro-kernels with runtime CPU dispatch.
 //!
-//! Every hot inner loop in the workspace — the f32 pattern-conv LRE
-//! spans, the im2col GEMM, the FC heads, and the INT8 accumulators —
+//! Every hot inner loop in the workspace — the f32 and INT8 pattern-conv
+//! register tiles ([`pattern_tile`]), the im2col GEMM, the FC heads —
 //! bottoms out in one of the primitives here. The module follows the
 //! `PackedConv`/`ConvKer` split of production inference runtimes: the
 //! *layout* (panel packing, tile sizes) is fixed and variant-independent
@@ -19,11 +19,20 @@
 //! (`4×16`: eight YMM accumulators on AVX2) over packed panels; callers
 //! drive it over full tiles directly and over ragged right/bottom
 //! fringes through a zero-padded stack tile, so no shape constraint
-//! leaks out of this module. The INT8 kernels are exact: both variants
-//! produce bit-identical `i32` accumulations (integer arithmetic is
-//! associative), which the artifact equivalence tests rely on.
+//! leaks out of this module. The pattern executors' output-stationary
+//! tile follows the same rule (see [`pattern_tile`]). The INT8 kernels
+//! are exact: both variants produce bit-identical `i32` accumulations
+//! (integer arithmetic is associative), which the artifact equivalence
+//! tests rely on.
 
 use std::sync::OnceLock;
+
+pub mod pattern_tile;
+
+pub use pattern_tile::{
+    pack_tap_pairs_i8, PatternTile, StagedLayout, TapOffsets, TileEpilogue, TileOut, TileShape,
+    MAX_TILE_FILTERS,
+};
 
 /// Rows of the register tile (A-panel height).
 pub const MR: usize = 4;
@@ -65,14 +74,8 @@ pub trait MicroKernel: Sync {
     /// `k * MR` values, `bp` must hold `k * NR`.
     fn tile_f32(&self, k: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]);
 
-    /// `y[i] += a * x[i]` over equal-length f32 spans.
-    fn axpy_f32(&self, a: f32, x: &[f32], y: &mut [f32]);
-
     /// Dot product of two equal-length f32 spans.
     fn dot_f32(&self, x: &[f32], y: &[f32]) -> f32;
-
-    /// `y[i] += a * x[i] as i32` over equal-length spans. Exact.
-    fn axpy_i8(&self, a: i32, x: &[i8], y: &mut [i32]);
 
     /// Exact `i8×i8→i32` dot product of two equal-length spans.
     fn dot_i8(&self, x: &[i8], y: &[i8]) -> i32;
@@ -81,6 +84,38 @@ pub trait MicroKernel: Sync {
     /// INT8 weight panel (see [`pack_b_t_i8`]). Exact. `x` must hold
     /// `k` values and `out` must hold `n`.
     fn gemv_i8(&self, n: usize, k: usize, x: &[i8], bp: &[i8], out: &mut [i32]);
+
+    /// One output-stationary `f32` pattern tile: walks `tile.steps` with
+    /// the eight accumulator vectors in registers and writes
+    /// `acc + bias` (then `max(0)` if `epi.relu`) into the planes `out`
+    /// names, once. See [`pattern_tile`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile's steps, weights or furthest load, or an
+    /// output plane, fall outside their buffers.
+    fn pattern_tile_f32(
+        &self,
+        tile: &PatternTile<'_, f32, f32>,
+        epi: &TileEpilogue,
+        out: &mut TileOut<'_>,
+    );
+
+    /// The INT8 tile over an `i16` staged image and packed weight
+    /// pairs: exact `i32` accumulation (bit-identical across variants),
+    /// then `acc as f32 * scale + bias` (unfused) and the optional
+    /// `max(0)`, written as [`MicroKernel::pattern_tile_f32`] writes.
+    ///
+    /// # Panics
+    ///
+    /// As the `f32` tile; also if `tile.entries` or the shape's vectors
+    /// per row are odd.
+    fn pattern_tile_i8(
+        &self,
+        tile: &PatternTile<'_, i16, i32>,
+        epi: &TileEpilogue,
+        out: &mut TileOut<'_>,
+    );
 }
 
 /// The portable fallback: plain loops, no intrinsics, compiled and
@@ -107,13 +142,6 @@ impl MicroKernel for PortableKernel {
         }
     }
 
-    fn axpy_f32(&self, a: f32, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), y.len());
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += a * xi;
-        }
-    }
-
     fn dot_f32(&self, x: &[f32], y: &[f32]) -> f32 {
         debug_assert_eq!(x.len(), y.len());
         // Four split accumulators: better ILP than a serial sum and a
@@ -131,13 +159,6 @@ impl MicroKernel for PortableKernel {
             acc[i] += a * b;
         }
         (acc[0] + acc[1]) + (acc[2] + acc[3])
-    }
-
-    fn axpy_i8(&self, a: i32, x: &[i8], y: &mut [i32]) {
-        debug_assert_eq!(x.len(), y.len());
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += a * xi as i32;
-        }
     }
 
     fn dot_i8(&self, x: &[i8], y: &[i8]) -> i32 {
@@ -162,6 +183,24 @@ impl MicroKernel for PortableKernel {
                 }
             }
         }
+    }
+
+    fn pattern_tile_f32(
+        &self,
+        tile: &PatternTile<'_, f32, f32>,
+        epi: &TileEpilogue,
+        out: &mut TileOut<'_>,
+    ) {
+        pattern_tile::portable_f32(tile, epi, out);
+    }
+
+    fn pattern_tile_i8(
+        &self,
+        tile: &PatternTile<'_, i16, i32>,
+        epi: &TileEpilogue,
+        out: &mut TileOut<'_>,
+    ) {
+        pattern_tile::portable_i8(tile, epi, out);
     }
 }
 
@@ -210,24 +249,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let av = _mm256_set1_ps(a);
-        let mut i = 0;
-        while i + 8 <= n {
-            let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-            _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_fmadd_ps(av, xv, yv));
-            i += 8;
-        }
-        while i < n {
-            *y.get_unchecked_mut(i) += a * *x.get_unchecked(i);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
         debug_assert_eq!(x.len(), y.len());
         let n = x.len();
@@ -267,28 +288,6 @@ mod avx2 {
             i += 1;
         }
         sum
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_i8(a: i32, x: &[i8], y: &mut [i32]) {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let av = _mm256_set1_epi32(a);
-        let mut i = 0;
-        while i + 8 <= n {
-            // Sign-extend 8 i8 taps to i32 lanes, multiply, accumulate.
-            let xv = _mm256_cvtepi8_epi32(_mm_loadl_epi64(x.as_ptr().add(i) as *const __m128i));
-            let yv = _mm256_loadu_si256(y.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                y.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_add_epi32(yv, _mm256_mullo_epi32(av, xv)),
-            );
-            i += 8;
-        }
-        while i < n {
-            *y.get_unchecked_mut(i) += a * *x.get_unchecked(i) as i32;
-            i += 1;
-        }
     }
 
     #[target_feature(enable = "avx2")]
@@ -369,22 +368,10 @@ impl MicroKernel for Avx2Kernel {
         unsafe { avx2::tile_f32(k, ap, bp, acc) }
     }
 
-    fn axpy_f32(&self, a: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), y.len());
-        // SAFETY: as above.
-        unsafe { avx2::axpy_f32(a, x, y) }
-    }
-
     fn dot_f32(&self, x: &[f32], y: &[f32]) -> f32 {
         assert_eq!(x.len(), y.len());
         // SAFETY: as above.
         unsafe { avx2::dot_f32(x, y) }
-    }
-
-    fn axpy_i8(&self, a: i32, x: &[i8], y: &mut [i32]) {
-        assert_eq!(x.len(), y.len());
-        // SAFETY: as above.
-        unsafe { avx2::axpy_i8(a, x, y) }
     }
 
     fn dot_i8(&self, x: &[i8], y: &[i8]) -> i32 {
@@ -398,6 +385,30 @@ impl MicroKernel for Avx2Kernel {
         assert!(bp.len() >= n.div_ceil(NR_I8) * k.div_ceil(2) * NR_I8 * 2);
         // SAFETY: as above, plus the bounds asserted here.
         unsafe { avx2::gemv_i8(n, k, x, bp, out) }
+    }
+
+    fn pattern_tile_f32(
+        &self,
+        tile: &PatternTile<'_, f32, f32>,
+        epi: &TileEpilogue,
+        out: &mut TileOut<'_>,
+    ) {
+        // SAFETY: detection happened (as above); the body bounds the
+        // tile's furthest load and store before touching memory, so a
+        // fringe tile's over-read stays in the staged halo/tail slack.
+        unsafe { pattern_tile::avx2::tile_f32(tile, epi, out) }
+    }
+
+    fn pattern_tile_i8(
+        &self,
+        tile: &PatternTile<'_, i16, i32>,
+        epi: &TileEpilogue,
+        out: &mut TileOut<'_>,
+    ) {
+        // SAFETY: as `pattern_tile_f32`: detection happened, the body
+        // bounds the furthest load and store first, and fringe
+        // over-reads stay inside the staged halo/tail slack.
+        unsafe { pattern_tile::avx2::tile_i8(tile, epi, out) }
     }
 }
 
@@ -460,19 +471,9 @@ pub fn active_kernel() -> &'static dyn MicroKernel {
     kernel_for(active_variant()).unwrap_or(&PORTABLE)
 }
 
-/// `y += a * x` with the dispatched kernel.
-pub fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
-    active_kernel().axpy_f32(a, x, y);
-}
-
 /// Dispatched f32 dot product.
 pub fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
     active_kernel().dot_f32(x, y)
-}
-
-/// `y += a * (x as i32)` with the dispatched kernel. Exact.
-pub fn axpy_i8(a: i32, x: &[i8], y: &mut [i32]) {
-    active_kernel().axpy_i8(a, x, y);
 }
 
 /// Dispatched exact `i8×i8→i32` dot product.
@@ -635,25 +636,14 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_dot_match_naive_on_awkward_lengths() {
+    fn dot_matches_naive_on_awkward_lengths() {
         let mut rng = Rng::seed_from(11);
         for kernel in kernels() {
             for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
                 let x: Vec<f32> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
-                let y0: Vec<f32> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
-                let a = rng.uniform(-2.0, 2.0);
-                let mut y = y0.clone();
-                kernel.axpy_f32(a, &x, &mut y);
-                for i in 0..len {
-                    let want = y0[i] + a * x[i];
-                    assert!(
-                        (y[i] - want).abs() < 1e-5,
-                        "{} axpy len {len} lane {i}",
-                        kernel.variant().label()
-                    );
-                }
-                let d = kernel.dot_f32(&x, &y0);
-                let want: f32 = x.iter().zip(&y0).map(|(a, b)| a * b).sum();
+                let y: Vec<f32> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let d = kernel.dot_f32(&x, &y);
+                let want: f32 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
                 assert!(
                     (d - want).abs() < 1e-3,
                     "{} dot len {len}: {d} vs {want}",
@@ -664,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn integer_axpy_and_dot_are_exact_across_variants() {
+    fn integer_dot_is_exact_across_variants() {
         let mut rng = Rng::seed_from(12);
         for kernel in kernels() {
             for len in [0usize, 1, 2, 7, 15, 16, 17, 33, 127] {
@@ -677,11 +667,6 @@ mod tests {
                     "{} dot_i8 len {len}",
                     kernel.variant().label()
                 );
-                let mut acc = vec![5i32; len];
-                kernel.axpy_i8(-117, &x, &mut acc);
-                for i in 0..len {
-                    assert_eq!(acc[i], 5 - 117 * x[i] as i32);
-                }
             }
         }
     }
