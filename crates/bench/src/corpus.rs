@@ -503,6 +503,13 @@ fn semantic_mutants(base: &Base) -> Vec<Semantic> {
                 *kernel = 99;
             }
         });
+        // Fits the input, yet its corner windows are padding alone: the
+        // engine would serve `-inf`.
+        push("pool-window-all-padding", "payload-invariant", &|m| {
+            if let LayerPlan::MaxPool { kernel, pad, .. } = &mut m.steps[i].op {
+                *pad = *kernel;
+            }
+        });
     }
 
     out

@@ -31,7 +31,7 @@ use patdnn_tensor::kernels::{self, TileEpilogue};
 use patdnn_tensor::{Conv2dGeometry, Tensor};
 
 use crate::executor::ConvExecutor;
-use crate::tile::{aligned, unstored_filters, TileJob, TilePlan, STAGED_F32};
+use crate::tile::{unstored_filters, TileJob, TilePlan};
 
 /// Optimization level of the pattern executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -262,15 +262,10 @@ impl PatternConv {
     /// empty image at the checked levels, which read the raw input).
     /// The image comes from, and returns to, the shared scratch pool.
     pub(crate) fn with_staged<R>(&self, input: &[f32], f: impl FnOnce(&[f32]) -> R) -> R {
-        let Some(plan) = &self.tile else {
-            return f(&[]);
-        };
-        let mut buf = STAGED_F32.take(plan.layout.len());
-        let staged = aligned(&mut buf, plan.layout.len());
-        plan.layout.stage(input, staged, |x| x);
-        let result = f(staged);
-        STAGED_F32.give(buf);
-        result
+        match &self.tile {
+            Some(plan) => plan.with_staged(input, f),
+            None => f(&[]),
+        }
     }
 
     /// Computes the planes of `set`'s rows for one batch item into the

@@ -5,7 +5,10 @@
 //! storage: resolving every stored kernel's tap offsets once at executor
 //! build (`TilePlan::new`), grouping storage rows into tile *jobs*
 //! (`TilePlan::jobs_for`), and the loop nest that walks a job's tiles
-//! over the output plane (`TilePlan::run_jobs`).
+//! over the output plane (`TilePlan::run_jobs`). An unpruned layer is the
+//! case where every row stores every kernel (`TilePlan::dense`): one
+//! offset table, four filters to every tile, run by
+//! [`crate::dense::DenseTileConv`].
 //!
 //! # How the exec config maps onto the loops
 //!
@@ -78,8 +81,8 @@ pub(crate) struct ScratchPool<T> {
     pool: Mutex<Vec<Vec<T>>>,
 }
 
-/// Staged `f32` images.
-pub(crate) static STAGED_F32: ScratchPool<f32> = ScratchPool::new();
+/// Staged `f32` images (see [`TilePlan::with_staged`]).
+static STAGED_F32: ScratchPool<f32> = ScratchPool::new();
 /// Staged (or, at the checked levels, plain quantized) `i16` images.
 pub(crate) static STAGED_I16: ScratchPool<i16> = ScratchPool::new();
 /// `i32` accumulation planes of the INT8 checked body.
@@ -233,12 +236,14 @@ pub(crate) struct TilePlan {
     offs: TapOffsets,
     /// Tap offsets per kernel in `offs` (even for INT8).
     entries: usize,
-    /// Weights per kernel in the executor's weight array.
-    weights_per_kernel: usize,
     min_vecs: usize,
     max_filters: usize,
-    /// First kernel of each storage row, plus the total.
-    row_kernels: Vec<usize>,
+    /// Per storage row, its kernels in `offs` and the index of its first
+    /// weight in the executor's weight array. FKW rows store their own
+    /// kernels back to back; every row of a dense layer walks the one
+    /// table of all input channels.
+    row_steps: Vec<Range<usize>>,
+    row_weights: Vec<usize>,
     reorder: Vec<usize>,
     /// Jobs per block and output rows per block of the loop nest.
     block: (usize, usize),
@@ -292,18 +297,75 @@ impl TilePlan {
         }
         let EffectiveTuning { max_filters, block } =
             EffectiveTuning::new(geo, level, tuning, pair_taps);
+        let weights_per_kernel = if pair_taps { entries / 2 } else { entries };
+        let row_steps: Vec<Range<usize>> = fkw
+            .offsets
+            .windows(2)
+            .map(|w| w[0] as usize..w[1] as usize)
+            .collect();
         TilePlan {
             layout,
             offs,
             entries,
-            weights_per_kernel: if pair_taps { entries / 2 } else { entries },
             min_vecs,
             max_filters,
-            row_kernels: fkw.offsets.iter().map(|&o| o as usize).collect(),
+            row_weights: row_steps
+                .iter()
+                .map(|steps| steps.start * weights_per_kernel)
+                .collect(),
+            row_steps,
             reorder: fkw.reorder.iter().map(|&f| f as usize).collect(),
             block: block.unwrap_or((usize::MAX, usize::MAX)),
             out_hw: (geo.out_h, geo.out_w),
         }
+    }
+
+    /// The plan of an unpruned `f32` layer over OIHW weights: the
+    /// all-kernels-present case. Every filter holds every kernel, so one
+    /// table of `in_c` steps × `kernel_h · kernel_w` taps serves all of
+    /// them, any four adjacent filters share a tile (the packed GEMM's
+    /// 4 × 16 register block, addressed through the staged image instead
+    /// of a patch matrix), and filter `f`'s weights are row `f` of the
+    /// weight tensor as it stands. The job loop is not blocked: blocking
+    /// it measured within noise of not on every layer from 16 @ 32×32 to
+    /// 128 @ 8×8 (a tile re-reads two of its three input rows from L1
+    /// whatever the order).
+    pub(crate) fn dense(geo: &Conv2dGeometry) -> Self {
+        let layout = StagedLayout::new(geo, 1);
+        let mut offs = TapOffsets::new();
+        for ic in 0..geo.in_channels {
+            for kh in 0..geo.kernel_h {
+                for kw in 0..geo.kernel_w {
+                    offs.push(layout.tap_offset(ic, kh, kw));
+                }
+            }
+        }
+        let entries = geo.kernel_h * geo.kernel_w;
+        TilePlan {
+            layout,
+            offs,
+            entries,
+            min_vecs: 1,
+            max_filters: MAX_TILE_FILTERS,
+            row_steps: vec![0..geo.in_channels; geo.out_channels],
+            row_weights: (0..geo.out_channels)
+                .map(|f| f * geo.in_channels * entries)
+                .collect(),
+            reorder: (0..geo.out_channels).collect(),
+            block: (usize::MAX, usize::MAX),
+            out_hw: (geo.out_h, geo.out_w),
+        }
+    }
+
+    /// Runs `f` on one `f32` batch item staged under this plan's layout.
+    /// The image comes from, and returns to, the shared scratch pool.
+    pub(crate) fn with_staged<R>(&self, input: &[f32], f: impl FnOnce(&[f32]) -> R) -> R {
+        let mut buf = STAGED_F32.take(self.layout.len());
+        let staged = aligned(&mut buf, self.layout.len());
+        self.layout.stage(input, staged, |x| x);
+        let result = f(staged);
+        STAGED_F32.give(buf);
+        result
     }
 
     /// The serial schedule: every storage row, in order, writing its
@@ -314,8 +376,8 @@ impl TilePlan {
 
     /// Offsets of the kernels of storage row `row`.
     fn row_offsets(&self, row: usize) -> &[u32] {
-        &self.offs.as_slice()
-            [self.row_kernels[row] * self.entries..self.row_kernels[row + 1] * self.entries]
+        let steps = &self.row_steps[row];
+        &self.offs.as_slice()[steps.start * self.entries..steps.end * self.entries]
     }
 
     /// Groups `rows` — `(storage row, output plane it writes)`, in the
@@ -339,13 +401,13 @@ impl TilePlan {
             }
             let mut job = TileJob {
                 shape: TileShape::for_plane(self.out_hw.1, filters, self.min_vecs),
-                steps: self.row_kernels[rows[i].0]..self.row_kernels[rows[i].0 + 1],
+                steps: self.row_steps[rows[i].0].clone(),
                 w_starts: [0; MAX_TILE_FILTERS],
                 filters: [0; MAX_TILE_FILTERS],
                 dst: [0; MAX_TILE_FILTERS],
             };
             for (slot, &(row, dst)) in rows[i..i + filters].iter().enumerate() {
-                job.w_starts[slot] = self.row_kernels[row] * self.weights_per_kernel;
+                job.w_starts[slot] = self.row_weights[row];
                 job.filters[slot] = self.reorder[row];
                 job.dst[slot] = dst;
             }

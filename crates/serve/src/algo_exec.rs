@@ -2,20 +2,26 @@
 //!
 //! The direct FKW executor ([`patdnn_runtime::pattern_exec`]) is the
 //! default lowering for pruned layers; the per-layer tuner
-//! ([`crate::tune`]) can instead select a *densified* lowering — either
-//! im2col with register-tiled GEMM or Winograd `F(2×2, 3×3)` — when a
-//! layer's stored-MAC count is close enough to dense for the packed SIMD
-//! micro-kernels to win. These executors carry their weights in
-//! kernel-native form, prepared once at engine build (packed GEMM
-//! panels for im2col, the 4×4 Winograd domain for winograd), and pool
-//! their per-call scratch so the warm serving path allocates nothing.
+//! ([`crate::tune`]) can instead select a *densified* lowering when a
+//! layer's stored-MAC count is close enough to dense for it to win:
+//!
+//! - [`Im2colConv`] — the dense GEMM-class lowering. The name is the
+//!   artifact tag's; the executor no longer builds a patch matrix. It
+//!   is the pattern tile run on a layer where every filter holds every
+//!   kernel: four filters × sixteen output columns per tile (the packed
+//!   GEMM's register block) over one shared tap-offset table into the
+//!   staged image, bias and ReLU in the tile's epilogue. Unpruned
+//!   `dense-conv` plan steps run through the same executor.
+//! - [`WinogradConv`] — Winograd `F(2×2, 3×3)`, kernels transformed into
+//!   the 4×4 domain once at engine build, the per-tile channel buffer
+//!   pooled.
+//!
+//! Neither allocates on a warm call.
 
 use std::fmt;
 use std::sync::Mutex;
 
 use patdnn_compiler::fkw::FkwLayer;
-use patdnn_tensor::im2col::{col_cols, col_rows, im2col};
-use patdnn_tensor::kernels;
 use patdnn_tensor::winograd::{transform_input, transform_kernel, transform_output};
 use patdnn_tensor::{Conv2dGeometry, Tensor};
 
@@ -107,97 +113,16 @@ pub fn winograd_eligible(geo: &Conv2dGeometry, fkw: &FkwLayer) -> Result<(), Win
     Ok(())
 }
 
-/// im2col + packed-GEMM convolution executor.
+/// The dense lowering, under the name its artifact tag
+/// ([`ConvAlgo::Im2col`](patdnn_compiler::tune::space::ConvAlgo)) and
+/// its callers know it by.
 ///
-/// Weights are densified and packed into `MR`-row GEMM panels once at
-/// construction; each call expands the input into the patch matrix,
-/// packs it into `NR`-column panels, and reduces through the dispatched
-/// micro-kernel. The patch and panel buffers are pooled, so the warm
-/// path allocates nothing.
-pub struct Im2colConv {
-    geo: Conv2dGeometry,
-    /// Reduction depth: `in_c * kernel_h * kernel_w`.
-    k: usize,
-    /// Dense weights in packed-A panel layout (`out_c` rows).
-    packed_w: Vec<f32>,
-    bias: Vec<f32>,
-    /// Pool of `(cols, packed_b)` scratch pairs.
-    // lock: algo-scratch
-    scratch: Mutex<Vec<(Vec<f32>, Vec<f32>)>>,
-}
-
-impl Im2colConv {
-    /// Builds the executor from a layer's dense OIHW weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` disagrees with `geo` or `bias` is neither
-    /// empty nor `out_channels` long.
-    pub fn new(geo: Conv2dGeometry, weights: &Tensor, bias: Vec<f32>) -> Self {
-        assert_eq!(weights.shape4(), geo.weight_shape(), "weight shape");
-        assert!(
-            bias.is_empty() || bias.len() == geo.out_channels,
-            "bias arity"
-        );
-        let k = col_rows(&geo);
-        let mut packed_w = vec![0.0f32; kernels::packed_a_len(geo.out_channels, k)];
-        kernels::pack_a_f32(geo.out_channels, k, weights.data(), k, &mut packed_w);
-        Im2colConv {
-            geo,
-            k,
-            packed_w,
-            bias,
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Bytes held in kernel-native packed form.
-    pub fn packed_bytes(&self) -> usize {
-        self.packed_w.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Runs the convolution on a batched NCHW input, overwriting `out`.
-    pub fn run_into(&self, input: &Tensor, out: &mut Tensor) {
-        let geo = &self.geo;
-        let batch = input.shape()[0];
-        let ncols = col_cols(geo);
-        let in_img = geo.in_channels * geo.in_h * geo.in_w;
-        let out_img = geo.out_channels * ncols;
-        let (mut cols, mut bp) = self
-            .scratch
-            .lock()
-            .expect("im2col scratch")
-            .pop()
-            .unwrap_or_default();
-        cols.resize(self.k * ncols, 0.0);
-        bp.resize(kernels::packed_b_len(self.k, ncols), 0.0);
-        let kernel = kernels::active_kernel();
-        for n in 0..batch {
-            im2col(&input.data()[n * in_img..(n + 1) * in_img], geo, &mut cols);
-            kernels::pack_b_f32(self.k, ncols, &cols, ncols, &mut bp);
-            let out_slice = &mut out.data_mut()[n * out_img..(n + 1) * out_img];
-            // Seed the accumulating GEMM with the bias.
-            for oc in 0..geo.out_channels {
-                let b = self.bias.get(oc).copied().unwrap_or(0.0);
-                out_slice[oc * ncols..(oc + 1) * ncols].fill(b);
-            }
-            kernels::gemm_packed_f32(
-                kernel,
-                geo.out_channels,
-                ncols,
-                self.k,
-                &self.packed_w,
-                &bp,
-                out_slice,
-                ncols,
-            );
-        }
-        self.scratch
-            .lock()
-            .expect("im2col scratch")
-            .push((cols, bp));
-    }
-}
+/// It computes what im2col + GEMM computes — every filter against every
+/// `in_c · k · k` patch — but materializes no patch matrix: the patches
+/// are addressed through a tap-offset table into the staged image, as
+/// the all-kernels-present case of the pattern tile. See
+/// [`DenseTileConv`](patdnn_runtime::dense::DenseTileConv).
+pub use patdnn_runtime::dense::DenseTileConv as Im2colConv;
 
 /// Winograd `F(2×2, 3×3)` convolution executor.
 ///

@@ -3,8 +3,9 @@
 //! An [`Engine`] turns a [`ModelArtifact`] into an executable DAG plan:
 //! one executor per step (pattern executors over FKW storage for pruned
 //! convolutions — main path and 1×1 projection shortcuts alike — the
-//! tiled dense kernel otherwise, and an elementwise `Add` for residual
-//! joins) plus per-slot buffer shapes. Steps read and write named
+//! same register tile in its dense case for unpruned or densified ones,
+//! and an elementwise `Add` for residual joins) plus per-slot buffer
+//! shapes. Steps read and write named
 //! buffer *slots* assigned by the compiler's liveness analysis, so a
 //! value's buffer is recycled as soon as its last consumer has run.
 //! Intermediate activations live in a pool of reusable per-slot scratch
@@ -22,15 +23,15 @@ use std::time::{Duration, Instant};
 
 use patdnn_compiler::quant::quantize_slice_into;
 use patdnn_compiler::tune::space::ConvAlgo;
-use patdnn_runtime::dense::TiledConv;
+use patdnn_runtime::dense::DenseTileConv;
 use patdnn_runtime::executor::{effective_gflops, ConvExecutor, StepClock};
 use patdnn_runtime::parallel::{ParallelPattern, Schedule};
 use patdnn_runtime::pattern_exec::PatternConv;
 use patdnn_runtime::quant_exec::QuantPatternConv;
-use patdnn_tensor::kernels;
+use patdnn_tensor::kernels::{self, PoolWindow};
 use patdnn_tensor::{Conv2dGeometry, Tensor};
 
-use crate::algo_exec::{Im2colConv, WinogradConv};
+use crate::algo_exec::WinogradConv;
 use crate::artifact::{ArtifactError, LayerPlan, ModelArtifact, Precision};
 use crate::ServeError;
 
@@ -80,16 +81,12 @@ pub struct EngineOptions {
 enum StepExec {
     Pattern(PatternConv),
     PatternPar(ParallelPattern),
-    /// Tuner-selected im2col + packed-GEMM lowering of a pruned conv.
-    Im2col(Im2colConv),
+    /// The dense case of the pattern tile: an unpruned conv, or the
+    /// tuner-selected `Im2col` lowering of a pruned one.
+    Dense(DenseTileConv),
     /// Tuner-selected Winograd `F(2×2, 3×3)` lowering of a pruned conv.
     Winograd(WinogradConv),
-    Dense(TiledConv),
-    MaxPool {
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-    },
+    MaxPool(PoolWindow),
     GlobalAvgPool,
     Flatten,
     Relu,
@@ -240,8 +237,10 @@ impl QuantFcExec {
 
 struct Step {
     exec: StepExec,
-    /// Apply ReLU to this step's output after it ran. Always false for
-    /// the direct pattern executors, which fuse it into their epilogue.
+    /// Apply ReLU to this step's output in a pass of its own after it
+    /// ran. Only `Winograd` and `Add` steps can ask for it: every tiled
+    /// executor (pattern, INT8, dense) fuses the activation into its
+    /// epilogue and is built with this `false`.
     relu: bool,
     /// Slots read, in op order (slot 0 is the network input).
     inputs: Vec<usize>,
@@ -347,12 +346,15 @@ impl Engine {
                             (exec, false)
                         }
                         ConvAlgo::Im2col => (
-                            StepExec::Im2col(Im2colConv::new(
-                                geo,
-                                &fkw.to_dense(),
-                                bias.clone().unwrap_or_default(),
-                            )),
-                            *relu,
+                            StepExec::Dense(
+                                DenseTileConv::new(
+                                    geo,
+                                    &fkw.to_dense(),
+                                    bias.clone().unwrap_or_default(),
+                                )
+                                .with_relu(*relu),
+                            ),
+                            false,
                         ),
                         // Eligibility was proven by the verifier.
                         ConvAlgo::Winograd => (
@@ -377,8 +379,11 @@ impl Engine {
                     let ws = weights.shape4();
                     let geo = Conv2dGeometry::new(ws.n, ws.c, ws.h, ws.w, h, w, *stride, *pad);
                     (
-                        StepExec::Dense(TiledConv::new(geo, weights.clone(), bias.clone())),
-                        *relu,
+                        StepExec::Dense(
+                            DenseTileConv::new(geo, weights, bias.clone().unwrap_or_default())
+                                .with_relu(*relu),
+                        ),
+                        false,
                     )
                 }
                 LayerPlan::MaxPool {
@@ -386,11 +391,11 @@ impl Engine {
                     stride,
                     pad,
                 } => (
-                    StepExec::MaxPool {
+                    StepExec::MaxPool(PoolWindow {
                         kernel: *kernel,
                         stride: *stride,
                         pad: *pad,
-                    },
+                    }),
                     false,
                 ),
                 LayerPlan::GlobalAvgPool => (StepExec::GlobalAvgPool, false),
@@ -519,16 +524,16 @@ impl Engine {
     }
 
     /// Total bytes of weights this engine holds in kernel-native packed
-    /// form (GEMM panels, interleaved INT8 panels, Winograd-domain
-    /// tiles), all prepared once at build so the warm inference path
-    /// never packs.
+    /// form (GEMM panels, interleaved INT8 panels, the dense tile's
+    /// OIHW rows, Winograd-domain tiles), all prepared once at build so
+    /// the warm inference path never packs.
     pub fn packed_weight_bytes(&self) -> usize {
         self.steps
             .iter()
             .map(|s| match &s.exec {
                 StepExec::Fc(exec) => exec.packed_w.len() * std::mem::size_of::<f32>(),
                 StepExec::QuantFc(exec) => exec.packed_w.len(),
-                StepExec::Im2col(exec) => exec.packed_bytes(),
+                StepExec::Dense(exec) => exec.packed_bytes(),
                 StepExec::Winograd(exec) => exec.packed_bytes(),
                 _ => 0,
             })
@@ -735,21 +740,22 @@ fn run_step(step: &Step, inputs: &[&Tensor], buf: &mut Tensor) {
     let prev = inputs[0];
     match &step.exec {
         StepExec::Pattern(exec) => exec.run_into(prev, buf),
-        StepExec::Im2col(exec) => exec.run_into(prev, buf),
+        StepExec::Dense(exec) => exec.run_into(prev, buf),
         StepExec::Winograd(exec) => exec.run_into(prev, buf),
         StepExec::PatternPar(exec) => {
             let out = exec.run(prev);
             buf.data_mut().copy_from_slice(out.data());
         }
-        StepExec::Dense(exec) => {
-            let out = exec.run(prev);
-            buf.data_mut().copy_from_slice(out.data());
+        StepExec::MaxPool(window) => {
+            let s = prev.shape4();
+            kernels::maxpool_planes(
+                kernels::active_kernel(),
+                prev.data(),
+                (s.h, s.w),
+                *window,
+                buf.data_mut(),
+            );
         }
-        StepExec::MaxPool {
-            kernel,
-            stride,
-            pad,
-        } => maxpool_into(prev, buf, *kernel, *stride, *pad),
         StepExec::GlobalAvgPool => gap_into(prev, buf),
         StepExec::Flatten | StepExec::Relu => {
             buf.data_mut().copy_from_slice(prev.data());
@@ -764,39 +770,6 @@ fn run_step(step: &Step, inputs: &[&Tensor], buf: &mut Tensor) {
             let b = inputs[1].data();
             for (o, (&x, &y)) in buf.data_mut().iter_mut().zip(prev.data().iter().zip(b)) {
                 *o = x + y;
-            }
-        }
-    }
-}
-
-fn maxpool_into(input: &Tensor, out: &mut Tensor, kernel: usize, stride: usize, pad: usize) {
-    let s = input.shape4();
-    let o = out.shape4();
-    let ind = input.data();
-    let od = out.data_mut();
-    let mut oi = 0;
-    for n in 0..s.n {
-        for c in 0..s.c {
-            let ibase = (n * s.c + c) * s.h * s.w;
-            for oh in 0..o.h {
-                for ow in 0..o.w {
-                    let mut best = f32::NEG_INFINITY;
-                    for kh in 0..kernel {
-                        let ih = (oh * stride + kh) as isize - pad as isize;
-                        if ih < 0 || ih >= s.h as isize {
-                            continue;
-                        }
-                        for kw in 0..kernel {
-                            let iw = (ow * stride + kw) as isize - pad as isize;
-                            if iw < 0 || iw >= s.w as isize {
-                                continue;
-                            }
-                            best = best.max(ind[ibase + ih as usize * s.w + iw as usize]);
-                        }
-                    }
-                    od[oi] = best;
-                    oi += 1;
-                }
             }
         }
     }
@@ -857,6 +830,60 @@ mod tests {
             "engine diverges from nn forward: {:?}",
             want.max_abs_diff(&got)
         );
+    }
+
+    #[test]
+    fn dense_lowerings_fuse_relu_and_leave_no_post_pass() {
+        // An unpruned network compiles to dense-conv steps; the pruned
+        // one is forced through the `Im2col` lowering. Either way the
+        // plan asks for a ReLU and the step is built without the
+        // post-pass: the dense tile's epilogue applies it.
+        let mut rng = Rng::seed_from(31);
+        let mut unpruned = small_cnn(3, 8, 4, &mut rng);
+        let dense = compile_network("dense", &unpruned, [3, 8, 8]).expect("compiles");
+        let mut pruned = pruned_cnn(32);
+        let mut forced = compile_network("forced", &pruned, [3, 8, 8]).expect("compiles");
+        for step in &mut forced.steps {
+            if matches!(step.op, LayerPlan::PatternConv { .. }) {
+                step.exec.algo = ConvAlgo::Im2col;
+            }
+        }
+        let x = Tensor::randn(&[3, 3, 8, 8], &mut rng);
+        for (artifact, net) in [(dense, &mut unpruned), (forced, &mut pruned)] {
+            let fused: Vec<bool> = artifact
+                .steps
+                .iter()
+                .map(|s| {
+                    matches!(
+                        s.op,
+                        LayerPlan::DenseConv { relu: true, .. }
+                            | LayerPlan::PatternConv { relu: true, .. }
+                    )
+                })
+                .collect();
+            let engine = Engine::new(artifact, EngineOptions::default()).expect("engine");
+            let mut dense_steps = 0;
+            for (step, fused) in engine.steps.iter().zip(fused) {
+                if matches!(step.exec, StepExec::Dense(_)) {
+                    assert!(fused, "{}: the plan fuses a relu", engine.name());
+                    assert!(!step.relu, "{}: and the tile applies it", engine.name());
+                    dense_steps += 1;
+                }
+                assert!(
+                    !step.relu || matches!(step.exec, StepExec::Winograd(_) | StepExec::Add),
+                    "only winograd and add keep the post-pass"
+                );
+            }
+            assert_eq!(dense_steps, 2, "{}: both convs are dense", engine.name());
+            let want = net.forward(&x, Mode::Eval);
+            let got = engine.infer(&x).expect("infer");
+            assert!(
+                want.approx_eq(&got, 1e-4),
+                "{} diverges from nn forward: {:?}",
+                engine.name(),
+                want.max_abs_diff(&got)
+            );
+        }
     }
 
     #[test]

@@ -18,15 +18,15 @@
 //!   [`compile::CompileOptions`] tuning policy selects each
 //!   pattern-conv step's [`artifact::ExecConfig`] (opt level,
 //!   tile/unroll parameters, thread schedule, and lowering
-//!   *algorithm* — direct FKW, im2col+GEMM, or Winograd) via the
+//!   *algorithm* — direct FKW, the dense tile, or Winograd) via the
 //!   compiler's performance estimator or GA exploration plus an
 //!   algorithm run-off over real timed runs.
 //! - [`algo_exec`] — the densified lowerings behind the non-direct
-//!   algorithm choices: [`algo_exec::Im2colConv`] (im2col + packed
-//!   micro-kernel GEMM) and [`algo_exec::WinogradConv`]
-//!   (`F(2x2,3x3)`), both pre-packing weights at engine build, plus
-//!   the typed Winograd eligibility guard
-//!   ([`algo_exec::winograd_eligible`]).
+//!   algorithm choices: [`algo_exec::Im2colConv`] (the dense case of
+//!   the pattern tile; no patch matrix despite the name) and
+//!   [`algo_exec::WinogradConv`] (`F(2x2,3x3)`), both preparing
+//!   weights at engine build, plus the typed Winograd eligibility
+//!   guard ([`algo_exec::winograd_eligible`]).
 //! - [`quant`] — the INT8 quantization pass: symmetric per-filter
 //!   weight scales over the artifact's own FKW storage, activation
 //!   scales calibrated from a sample batch

@@ -80,19 +80,23 @@ impl TunePolicy {
 // pruned 3.6× and unpruned-connectivity, batch 1, best of 30 × 10 runs),
 // in picoseconds per multiply-accumulate:
 //
-// | layer        | Full tile | ReorderLre | Reorder / NoOpt | im2col  | Winograd |
-// |              | (stored)  | (stored)   | (stored)        | (dense) | (dense)  |
-// |--------------|-----------|------------|-----------------|---------|----------|
-// | 16 @ 32×32   | 41–60     | 50–63      | 1710–1740       | 150–155 | 119      |
-// | 32 @ 16×16   | 38–49     | 44–48      | 1580–1630       | 87–89   | 111      |
-// | 64 @ 16×16   | 46        | 48         | 1620–1640       | 57–58   | 99–100   |
-// | 64 @ 8×8     | 31–37     | 31–36      | 1610–1640       | 57      | 94       |
-// | 128 @ 8×8    | 39–40     | 38–40      | 1630–1640       | 40      | 92–96    |
+// | layer        | Full tile | ReorderLre | Reorder / NoOpt | im2col    | Winograd |
+// |              | (stored)  | (stored)   | (stored)        | (dense)   | (dense)  |
+// |--------------|-----------|------------|-----------------|-----------|----------|
+// | 16 @ 32×32   | 41–60     | 50–63      | 1710–1740       | 25.7–26.4 | 119      |
+// | 32 @ 16×16   | 38–49     | 44–48      | 1580–1630       | 24.1–24.6 | 111      |
+// | 64 @ 16×16   | 46        | 48         | 1620–1640       | 23.6–23.8 | 99–100   |
+// | 64 @ 8×8     | 31–37     | 31–36      | 1610–1640       | 23.7–24.2 | 94       |
+// | 128 @ 8×8    | 39–40     | 38–40      | 1630–1640       | 23.6–23.9 | 92–96    |
 //
 // One cost unit is one stored MAC of the tiled executor on a layer
 // where the tile's fixed costs are amortized (≈ 38 ps). The spread of
 // the first column is those fixed costs — a tile call with few kernels
-// to walk, the staging copy — which are priced separately below.
+// to walk, the staging copy — which are priced separately below. The
+// im2col column was re-measured (minimum–median of 400 × 5 runs, staging
+// included) when that lowering became the dense case of the same tile:
+// four filters share every loaded input vector, so a dense MAC costs
+// less than a stored one of a one-filter pattern tile.
 
 /// Cost of one stored MAC at each level, in units of the `Full` tile's.
 /// The two checked baselines pay a bounds test per tap per pixel and
@@ -220,11 +224,12 @@ pub fn analytic_cost(
     LayerCost::new(geo, fkw).cost(level, cfg)
 }
 
-/// Cost of one *dense* MAC through the im2col lowering, in stored MACs
-/// of the tile: the packed GEMM's 57 ps at 64 channels over the tile's
-/// 38 (it is worse below 64 channels, where its panels run half empty,
-/// and reaches parity only at 128).
-const IM2COL_DENSE_FACTOR: f64 = 1.5;
+/// Cost of one *dense* MAC through the im2col lowering — the tile with
+/// four filters sharing its loads — in stored MACs of the one-filter
+/// tile: 26.4 ps on the slowest measured layer (16 channels, whose
+/// staging copy is the largest share) over the tile's 38; 24 ps, the
+/// packed GEMM's own rate, from 32 channels up.
+const IM2COL_DENSE_FACTOR: f64 = 0.7;
 
 /// Cost of one dense MAC through Winograd `F(2×2, 3×3)`: 92–119 ps of
 /// dense-equivalent work over the tile's 38. The transform arithmetic
@@ -235,9 +240,10 @@ const WINOGRAD_DENSE_FACTOR: f64 = 2.5;
 /// Analytic cost of a *densified* lowering of this layer, in the same
 /// units as [`analytic_cost`]; `None` when the layer cannot lower that
 /// way (`Direct` has no densified cost, Winograd has eligibility
-/// rules). With the measured rates a dense MAC costs more than a stored
-/// one, and a pruned layer stores at most 4/9 of them, so a pattern
-/// layer densifies only if a later kernel change moves these factors.
+/// rules). With the measured rates a dense MAC costs 0.7 of a stored
+/// one, so densifying pays once a layer keeps more than about 70 % of
+/// its MACs: never for a 3×3 pattern layer, which stores at most 4/9 of
+/// them, but for a 1×1 layer whose connectivity is barely pruned.
 pub fn densified_cost(geo: &Conv2dGeometry, fkw: &FkwLayer, algo: ConvAlgo) -> Option<f64> {
     let out_hw = (geo.out_h * geo.out_w) as f64;
     let dense_macs = (fkw.out_c * fkw.in_c * fkw.kernel * fkw.kernel) as f64 * out_hw;
@@ -586,8 +592,14 @@ mod tests {
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
             .map_or(ConvAlgo::Direct, |(algo, _)| algo);
         assert_eq!(serial.algo, cheapest);
-        // With the measured rates a dense MAC costs more than a stored
-        // one, so even this layer stays direct.
+        // A dense MAC costs 0.7 of a stored one and this layer stores
+        // 4/9 of them: 0.7 dense MACs against 0.44 plus the one-filter
+        // tile's calls. Even with every kernel kept it stays direct.
+        let im2col = densified_cost(&geo, &fkw, ConvAlgo::Im2col).expect("always lowers");
+        assert!(
+            direct < im2col && im2col < 2.0 * direct,
+            "{direct} vs {im2col}"
+        );
         assert_eq!(serial.algo, ConvAlgo::Direct);
         let threaded = estimate_exec_config(&geo, &fkw, 2, &mut Rng::seed_from(8));
         assert_eq!(

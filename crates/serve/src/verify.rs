@@ -830,6 +830,16 @@ fn check_op(
                 });
                 return None;
             }
+            // More padding than half the window (`2·pad > kernel`) admits
+            // windows made of padding alone, whose maximum is `-inf`.
+            if *pad > *kernel / 2 {
+                v.push(Violation::PayloadInvariant {
+                    step: i,
+                    name: kind.into(),
+                    detail: format!("maxpool pad {pad} exceeds half its {kernel}x{kernel} window"),
+                });
+                return None;
+            }
             let [c, h, w] = conv_input(i, kind, kind, in_shape, v)?;
             if !check_window(i, kind, kind, *kernel, *stride, *pad, h, w, v) {
                 return None;
@@ -1315,6 +1325,34 @@ mod tests {
                 .any(|v| v.invariant() == "algo-eligibility"),
             "{report}"
         );
+    }
+
+    #[test]
+    fn a_maxpool_padded_past_half_its_window_is_rejected() {
+        // 2x2 windows with pad 2 fit the input, so `check_window` passes,
+        // yet the corner windows hold nothing but padding.
+        let pool = |kernel, pad| {
+            ModelArtifact::chain(
+                "pool",
+                [1, 4, 4],
+                vec![LayerPlan::MaxPool {
+                    kernel,
+                    stride: 2,
+                    pad,
+                }],
+            )
+        };
+        let report = verify(&pool(2, 2));
+        assert!(
+            matches!(
+                report.violations.as_slice(),
+                [Violation::PayloadInvariant { step: 0, .. }]
+            ),
+            "{report}"
+        );
+        assert!(!verify(&pool(3, 2)).is_ok(), "2*2 > 3");
+        assert!(verify(&pool(2, 1)).is_ok(), "half the window is the limit");
+        assert!(verify(&pool(3, 1)).is_ok());
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn pruned_engine(mut net: Sequential, name: &str, precision: Precision) -> Engin
     };
     assert!(
         artifact.steps.iter().all(|s| s.op.kind() != "dense-conv"),
-        "{name}: budget only holds on the pattern-conv path"
+        "{name}: a pruned network lowers to pattern convs only"
     );
     let engine = Engine::new(artifact, EngineOptions::default()).expect("engine");
     // Weight pre-packing happens at load: the FC (and any quantized FC)
@@ -125,9 +125,9 @@ fn pruned_engine(mut net: Sequential, name: &str, precision: Precision) -> Engin
 }
 
 /// Allocations of a warm engine whose pattern convs run the *densified*
-/// micro-kernel lowerings: the executors pack weights at build and pool
-/// their patch/panel/tile scratch, so the warm path stays inside the
-/// same envelope. Pruned lightly (1.5x) so the layers clear the
+/// lowerings: the executors prepare weights at build and pool their
+/// staged-image and Winograd tile scratch, so the warm path stays inside
+/// the same envelope. Pruned lightly (1.5x) so the layers clear the
 /// Winograd density gate; eligible steps alternate between the two
 /// densified executors so both pooled paths are measured.
 fn warm_allocation_count_densified(mut net: Sequential, name: &str) -> usize {
@@ -157,6 +157,38 @@ fn warm_allocation_count_densified(mut net: Sequential, name: &str) -> usize {
         "{name}: densified weights must pre-pack at engine build"
     );
     count_warm(&engine, name)
+}
+
+/// An engine whose convolutions all run the dense case of the tile:
+/// unpruned (`dense-conv` plan steps) when `prune` is `None`, otherwise
+/// pruned at that rate with every pattern conv forced to `Im2col`. Both
+/// stage into the pattern executors' pooled image and read their weights
+/// in place, so they are held to the same envelope.
+fn dense_tile_engine(mut net: Sequential, name: &str, prune: Option<f32>) -> Engine {
+    if let Some(rate) = prune {
+        pattern_project_network(&mut net, 8, rate);
+    }
+    let mut artifact = compile_network(name, &net, [3, 32, 32]).expect("compiles");
+    let mut convs = 0;
+    for step in &mut artifact.steps {
+        match &step.op {
+            LayerPlan::PatternConv { .. } => {
+                assert!(prune.is_some(), "{name}: unpruned layers stay dense");
+                step.exec.algo = ConvAlgo::Im2col;
+                convs += 1;
+            }
+            LayerPlan::DenseConv { .. } => {
+                assert!(prune.is_none(), "{name}: pruned layers lower to patterns");
+                convs += 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(
+        convs, 6,
+        "{name}: every conv of vgg_small runs the dense tile"
+    );
+    Engine::new(artifact, EngineOptions::default()).expect("engine")
 }
 
 /// One test fn for both models: the allocation counter is
@@ -195,6 +227,18 @@ fn warm_engines_stay_within_the_response_envelope() {
             "{precision:?}: warm allocations must not scale with the batch ({one} at 1, {eight} at 8)"
         );
         assert!(eight <= WARM_CALL_BUDGET);
+    }
+    // The dense case of the tile — unpruned layers and the forced
+    // `Im2col` lowering — shares the pattern executors' staged image.
+    for (name, prune) in [("vgg_unpruned", None), ("vgg_forced_im2col", Some(3.6))] {
+        let engine = dense_tile_engine(vgg_small(10, &mut rng), name, prune);
+        for batch in [1, 8] {
+            let dense = count_warm_batch(&engine, name, batch);
+            assert!(
+                dense <= WARM_CALL_BUDGET,
+                "{name}: warm batch-{batch} infer made {dense} allocations (budget {WARM_CALL_BUDGET})"
+            );
+        }
     }
     // Densified lowerings (im2col + Winograd) pool their scratch too.
     let dense = warm_allocation_count_densified(vgg_small(10, &mut rng), "vgg_densified");

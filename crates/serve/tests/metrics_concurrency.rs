@@ -5,7 +5,7 @@
 //! counter, ordered percentiles).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use patdnn_serve::{Priority, ServerMetrics};
@@ -60,12 +60,22 @@ fn assert_consistent(s: &patdnn_serve::MetricsSnapshot) {
 fn snapshots_stay_consistent_under_concurrent_recording() {
     let metrics = Arc::new(ServerMetrics::new());
     let done = Arc::new(AtomicBool::new(false));
+    // The rendezvous that makes "mid-flight" a fact rather than a
+    // scheduling accident: every writer parks here after half its
+    // rounds, each reader takes its first snapshot of that half-written
+    // state, and a second wait releases them all to race for the rest.
+    let halfway = Arc::new(Barrier::new(WRITERS + 2));
 
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
             let metrics = Arc::clone(&metrics);
+            let halfway = Arc::clone(&halfway);
             scope.spawn(move || {
                 for round in 0..ROUNDS {
+                    if round == ROUNDS / 2 {
+                        halfway.wait();
+                        halfway.wait();
+                    }
                     writer_round(&metrics, w * ROUNDS + round);
                 }
             });
@@ -74,8 +84,18 @@ fn snapshots_stay_consistent_under_concurrent_recording() {
         for _ in 0..2 {
             let metrics = Arc::clone(&metrics);
             let done = Arc::clone(&done);
+            let halfway = Arc::clone(&halfway);
             scope.spawn(move || {
-                let mut taken = 0u32;
+                halfway.wait();
+                let mid = metrics.snapshot();
+                assert_consistent(&mid);
+                assert_eq!(
+                    mid.requests,
+                    (WRITERS * (ROUNDS / 2) * 3) as u64,
+                    "every writer is parked exactly halfway"
+                );
+                let mut taken = 1u32;
+                halfway.wait();
                 while !done.load(Ordering::Relaxed) {
                     assert_consistent(&metrics.snapshot());
                     taken += 1;

@@ -1,8 +1,9 @@
 //! Register-tiled SIMD micro-kernels with runtime CPU dispatch.
 //!
 //! Every hot inner loop in the workspace — the f32 and INT8 pattern-conv
-//! register tiles ([`pattern_tile`]), the im2col GEMM, the FC heads —
-//! bottoms out in one of the primitives here. The module follows the
+//! register tiles ([`pattern_tile`], whose dense case is the engine's
+//! GEMM-class conv lowering), the FC heads' packed GEMM, max pooling
+//! ([`pool`]) — bottoms out in one of the primitives here. The module follows the
 //! `PackedConv`/`ConvKer` split of production inference runtimes: the
 //! *layout* (panel packing, tile sizes) is fixed and variant-independent
 //! so weights can be packed once at artifact load, while the *arithmetic*
@@ -28,11 +29,13 @@
 use std::sync::OnceLock;
 
 pub mod pattern_tile;
+pub mod pool;
 
 pub use pattern_tile::{
     pack_tap_pairs_i8, PatternTile, StagedLayout, TapOffsets, TileEpilogue, TileOut, TileShape,
     MAX_TILE_FILTERS,
 };
+pub use pool::{maxpool_planes, PoolWindow};
 
 /// Rows of the register tile (A-panel height).
 pub const MR: usize = 4;
@@ -116,6 +119,15 @@ pub trait MicroKernel: Sync {
         epi: &TileEpilogue,
         out: &mut TileOut<'_>,
     );
+
+    /// One output row of 2×2 max pooling at stride 2: `out[i]` is the
+    /// largest of columns `2i` and `2i + 1` of `top` and `bottom`. See
+    /// [`pool`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either row holds fewer than `2 * out.len()` values.
+    fn maxpool_2x2_row(&self, top: &[f32], bottom: &[f32], out: &mut [f32]);
 }
 
 /// The portable fallback: plain loops, no intrinsics, compiled and
@@ -201,6 +213,11 @@ impl MicroKernel for PortableKernel {
         out: &mut TileOut<'_>,
     ) {
         pattern_tile::portable_i8(tile, epi, out);
+    }
+
+    fn maxpool_2x2_row(&self, top: &[f32], bottom: &[f32], out: &mut [f32]) {
+        assert!(top.len().min(bottom.len()) >= 2 * out.len(), "short row");
+        pool::portable_2x2_row(top, bottom, out);
     }
 }
 
@@ -409,6 +426,13 @@ impl MicroKernel for Avx2Kernel {
         // bounds the furthest load and store first, and fringe
         // over-reads stay inside the staged halo/tail slack.
         unsafe { pattern_tile::avx2::tile_i8(tile, epi, out) }
+    }
+
+    fn maxpool_2x2_row(&self, top: &[f32], bottom: &[f32], out: &mut [f32]) {
+        assert!(top.len().min(bottom.len()) >= 2 * out.len(), "short row");
+        // SAFETY: detection happened (as above), and the rows are long
+        // enough by the assertion.
+        unsafe { pool::avx2::maxpool_2x2_row(top, bottom, out) }
     }
 }
 
