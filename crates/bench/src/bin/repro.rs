@@ -3,28 +3,25 @@
 //! Usage:
 //!
 //! ```text
-//! repro <experiment>... [--quick] [--reps N] [--threads N] [--json FILE]
-//! experiment: table1..table7, fig12..fig18, serving, serving-resnet,
-//!             serving-tuned, serving-quant, serving-slo,
-//!             serving-profile, serving-kernels, verify-corpus,
+//! repro <experiment>... [--quick] [--reps N] [--threads N]
+//! experiment: table1..table7, fig12..fig18, verify-corpus,
 //!             wire-corpus, serving-router, tables, figures, all
 //! ```
+//!
+//! `--threads` defaults to the number of available cores.
 //!
 //! `serving-router` launches real `patdnn-serve`/`patdnn-router`
 //! processes, so build the serve binaries first (`cargo build -p
 //! patdnn-serve --bins`, same profile). It is not part of `all`.
 //!
-//! `--json FILE` additionally writes a machine-readable report for the
-//! experiments that produce one (`serving-quant`, `serving-slo`,
-//! `serving-profile`, and `serving-kernels`), so CI can upload the perf
-//! trajectory as a workflow artifact.
+//! Serving performance is measured by the repo benchmark
+//! (`benchmark/README.md`), not by this harness.
 
 use patdnn_bench::{figures, tables, RunOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = RunOptions::default();
-    let mut json_path: Option<String> = None;
     let mut selected: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -49,14 +46,6 @@ fn main() {
                     .get(i)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--threads needs a number"));
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--json needs a file path")),
-                );
             }
             other if other.starts_with("--") => die(&format!("unknown flag {other}")),
             other => selected.push(other.to_owned()),
@@ -85,13 +74,6 @@ fn main() {
                 "fig16",
                 "fig17",
                 "fig18",
-                "serving",
-                "serving-resnet",
-                "serving-tuned",
-                "serving-quant",
-                "serving-slo",
-                "serving-profile",
-                "serving-kernels",
                 "verify-corpus",
                 "wire-corpus",
             ]),
@@ -127,33 +109,6 @@ fn main() {
             "fig16" => print_all(figures::fig16(&opts)),
             "fig17" => print_all(figures::fig17(&opts)),
             "fig18" => print_all(figures::fig18(&opts)),
-            "serving" => print_all(patdnn_bench::serving::serving(&opts)),
-            "serving-resnet" => {
-                println!("{}", patdnn_bench::serving::resnet_serving(&opts));
-            }
-            "serving-tuned" => {
-                println!("{}", patdnn_bench::serving::tuned_serving(&opts));
-            }
-            "serving-quant" => {
-                let (table, json) = patdnn_bench::serving::quant_serving_report(&opts);
-                println!("{table}");
-                write_json(&json_path, &json);
-            }
-            "serving-slo" => {
-                let (table, json) = patdnn_bench::serving::slo_serving_report(&opts);
-                println!("{table}");
-                write_json(&json_path, &json);
-            }
-            "serving-profile" => {
-                let (tables, json) = patdnn_bench::serving::serving_profile_report(&opts);
-                print_all(tables);
-                write_json(&json_path, &json);
-            }
-            "serving-kernels" => {
-                let (table, json) = patdnn_bench::serving::serving_kernels_report(&opts);
-                println!("{table}");
-                write_json(&json_path, &json);
-            }
             "verify-corpus" => {
                 let report = patdnn_bench::corpus::run(opts.quick);
                 print!("{report}");
@@ -182,13 +137,6 @@ fn main() {
     }
 }
 
-fn write_json(path: &Option<String>, json: &str) {
-    if let Some(path) = path {
-        std::fs::write(path, json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        eprintln!("[json report written to {path}]");
-    }
-}
-
 fn print_all(tables: Vec<patdnn_bench::report::Table>) {
     for t in tables {
         println!("{t}");
@@ -199,10 +147,8 @@ fn print_all(tables: Vec<patdnn_bench::report::Table>) {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro <table1..table7|fig12..fig18|serving|serving-resnet|serving-tuned|\
-         serving-quant|serving-slo|serving-profile|serving-kernels|verify-corpus|\
-         wire-corpus|serving-router|tables|figures|all> \
-         [--quick] [--reps N] [--threads N] [--json FILE]"
+        "usage: repro <table1..table7|fig12..fig18|verify-corpus|wire-corpus|\
+         serving-router|tables|figures|all> [--quick] [--reps N] [--threads N]"
     );
     std::process::exit(2);
 }

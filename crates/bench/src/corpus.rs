@@ -4,7 +4,7 @@
 //! byte stream reaches an executor unless every semantic invariant
 //! holds**. This module attacks that promise mechanically. It compiles
 //! a sweep of real artifacts (model family × precision × tuning policy,
-//! encoded in every representable format version v1–v5), then derives
+//! each in the current format version), then derives
 //! thousands of deterministic mutants along two tracks:
 //!
 //! - **Byte track** — single-byte flips (`^0xFF` and `^0x01`) at
@@ -60,10 +60,8 @@ pub struct CorpusReport {
     /// Which corpus produced this report (empty means the artifact
     /// corpus, `verify-corpus`).
     pub title: &'static str,
-    /// Base artifacts compiled (before encoding-version expansion).
+    /// Base artifacts (or wire streams) the byte track mutated.
     pub artifacts: usize,
-    /// Encoded byte streams the byte track mutated.
-    pub encodings: usize,
     /// Total mutants exercised across both tracks.
     pub mutants: usize,
     /// Byte mutants that decoded, verified, and re-encoded
@@ -106,8 +104,8 @@ impl fmt::Display for CorpusReport {
         };
         writeln!(
             f,
-            "{title}: {} artifacts, {} encodings, {} mutants",
-            self.artifacts, self.encodings, self.mutants
+            "{title}: {} artifacts, {} mutants",
+            self.artifacts, self.mutants
         )?;
         writeln!(
             f,
@@ -131,42 +129,22 @@ impl fmt::Display for CorpusReport {
     }
 }
 
-/// One base artifact plus every format version that can represent it.
+/// One base artifact and its encoding.
 struct Base {
     label: String,
     artifact: ModelArtifact,
-    /// `(version, bytes)` pairs; versions that cannot represent the
-    /// plan (e.g. v1 for a DAG) are simply absent.
-    encodings: Vec<(u16, Vec<u8>)>,
-}
-
-/// Re-encodes a decoded artifact in the same format version its mutant
-/// came from, so the benign-mutant check compares like with like.
-fn reencode(artifact: &ModelArtifact, version: u16) -> Result<Vec<u8>, ArtifactError> {
-    match version {
-        1 => artifact.encode_v1(),
-        2 => artifact.encode_v2(),
-        3 => artifact.encode_v3(),
-        4 => artifact.encode_v4(),
-        _ => Ok(artifact.encode()),
-    }
+    bytes: Vec<u8>,
 }
 
 /// Compiles the corpus's base artifacts: model family × precision ×
-/// tuning policy, each expanded into every representable wire version.
+/// tuning policy.
 fn build_bases(quick: bool, report: &mut CorpusReport) -> Vec<Base> {
     let mut bases = Vec::new();
     let mut push = |label: &str, artifact: ModelArtifact| {
-        let mut encodings = vec![(5u16, artifact.encode())];
-        for version in 1u16..=4 {
-            if let Ok(bytes) = reencode(&artifact, version) {
-                encodings.push((version, bytes));
-            }
-        }
         bases.push(Base {
             label: label.to_string(),
+            bytes: artifact.encode(),
             artifact,
-            encodings,
         });
     };
 
@@ -177,7 +155,7 @@ fn build_bases(quick: bool, report: &mut CorpusReport) -> Vec<Base> {
         net
     };
 
-    // Untuned f32 small CNN: chain topology, representable in v1–v5.
+    // Untuned f32 small CNN: chain topology.
     let net = pruned_small(11);
     let plain = compile_network_with(
         "corpus_small",
@@ -189,7 +167,7 @@ fn build_bases(quick: bool, report: &mut CorpusReport) -> Vec<Base> {
     push("small_cnn-f32-off", plain.clone());
 
     // Estimator-tuned plan: per-step exec configs and (possibly)
-    // non-direct algorithm tags, v5-centric.
+    // non-direct algorithm tags.
     let tuned_opts = CompileOptions {
         tune: TunePolicy::Estimate,
         threads: 2,
@@ -222,14 +200,13 @@ fn build_bases(quick: bool, report: &mut CorpusReport) -> Vec<Base> {
     }
 
     report.artifacts = bases.len();
-    report.encodings = bases.iter().map(|b| b.encodings.len()).sum();
     bases
 }
 
 /// Classifies one mutated byte stream. Decode and verify both run under
 /// `catch_unwind`: a panic anywhere is a corpus failure, never an abort
 /// of the run.
-fn classify_bytes(label: &str, version: u16, bytes: &[u8], report: &mut CorpusReport) {
+fn classify_bytes(label: &str, bytes: &[u8], report: &mut CorpusReport) {
     report.mutants += 1;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         ModelArtifact::decode(bytes).map(|artifact| {
@@ -256,12 +233,12 @@ fn classify_bytes(label: &str, version: u16, bytes: &[u8], report: &mut CorpusRe
             // The flip landed in represented data (a weight, a name
             // byte, ...). That is only acceptable if the decode was
             // lossless: re-encoding must reproduce the mutant exactly.
-            match catch_unwind(AssertUnwindSafe(|| reencode(&artifact, version))) {
+            match catch_unwind(AssertUnwindSafe(|| artifact.encode())) {
                 Err(_) => {
                     report.panics += 1;
                     report.failures.push(format!("{label}: re-encode panicked"));
                 }
-                Ok(Ok(bytes2)) if bytes2 == bytes => report.benign += 1,
+                Ok(bytes2) if bytes2 == bytes => report.benign += 1,
                 Ok(_) => report.failures.push(format!(
                     "{label}: mutant decoded and verified but does not round-trip \
                      bit-identically (silent corruption)"
@@ -295,40 +272,32 @@ fn first_invariant(report: &VerifyReport) -> &'static str {
 /// The byte track: deterministic single-byte flips at evenly-spread
 /// offsets, plus truncation cuts.
 fn byte_track(bases: &[Base], quick: bool, report: &mut CorpusReport) {
-    let flips = if quick { 40 } else { 160 };
-    let cuts = if quick { 12 } else { 40 };
+    let flips = if quick { 150 } else { 600 };
+    let cuts = if quick { 40 } else { 60 };
     for base in bases {
-        for (version, bytes) in &base.encodings {
-            let label = format!("{} v{version}", base.label);
-            let n = bytes.len();
-            for k in 0..flips.min(n) {
-                // Evenly spread positions, always covering offset 0
-                // (magic) and the final byte.
-                let pos = if flips >= n {
-                    k
-                } else {
-                    k * (n - 1) / (flips - 1)
-                };
-                for mask in [0xFFu8, 0x01] {
-                    let mut mutant = bytes.clone();
-                    mutant[pos] ^= mask;
-                    classify_bytes(
-                        &format!("{label} flip@{pos}^{mask:#04x}"),
-                        *version,
-                        &mutant,
-                        report,
-                    );
-                }
-            }
-            for k in 0..cuts {
-                let cut = k * n / cuts;
+        let bytes = &base.bytes;
+        let n = bytes.len();
+        for k in 0..flips.min(n) {
+            // Evenly spread positions, always covering offset 0 (magic)
+            // and the final byte.
+            let pos = if flips >= n {
+                k
+            } else {
+                k * (n - 1) / (flips - 1)
+            };
+            for mask in [0xFFu8, 0x01] {
+                let mut mutant = bytes.clone();
+                mutant[pos] ^= mask;
                 classify_bytes(
-                    &format!("{label} cut@{cut}"),
-                    *version,
-                    &bytes[..cut],
+                    &format!("{} flip@{pos}^{mask:#04x}", base.label),
+                    &mutant,
                     report,
                 );
             }
+        }
+        for k in 0..cuts {
+            let cut = k * n / cuts;
+            classify_bytes(&format!("{} cut@{cut}", base.label), &bytes[..cut], report);
         }
     }
 }

@@ -10,8 +10,6 @@
 //!   binary and the integration tests.
 //! - [`tables`] — Tables 1-7.
 //! - [`figures`] — Figures 12-18.
-//! - [`serving`] — beyond the paper: compiled-engine batch sweeps and
-//!   dynamic-batching server throughput (`repro serving`).
 //! - [`corpus`] — the plan-verifier mutation corpus (`repro
 //!   verify-corpus`): byte-flip, truncation, and semantic-forgery
 //!   mutants over real artifacts, each of which must be rejected with a
@@ -27,14 +25,14 @@
 //!   drain.
 //!
 //! Run `cargo run -p patdnn-bench --release --bin repro -- all` to
-//! regenerate everything; see `EXPERIMENTS.md` for the paper-vs-measured
-//! record.
+//! regenerate everything; DESIGN.md §2 holds the paper-vs-measured
+//! record. Serving performance is not measured here: the repo benchmark
+//! (`benchmark/README.md`) is its one yardstick.
 
 pub mod corpus;
 pub mod figures;
 pub mod report;
 pub mod router_smoke;
-pub mod serving;
 pub mod tables;
 pub mod wire_corpus;
 pub mod workloads;
@@ -51,11 +49,13 @@ pub struct RunOptions {
 }
 
 impl Default for RunOptions {
+    /// Two reps, full size, one thread per available core (1 if the
+    /// core count cannot be read), so a run never oversubscribes.
     fn default() -> Self {
         RunOptions {
             reps: 2,
             quick: false,
-            threads: 8,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }

@@ -80,11 +80,6 @@ pub fn fmt_ms(seconds: f64) -> String {
     }
 }
 
-/// Formats a speedup factor.
-pub fn fmt_speedup(factor: f64) -> String {
-    format!("{factor:.1}x")
-}
-
 /// Formats a percentage.
 pub fn fmt_pct(fraction: f64) -> String {
     format!("{:.1}%", fraction * 100.0)
@@ -117,7 +112,6 @@ mod tests {
         assert_eq!(fmt_ms(0.2424), "242");
         assert_eq!(fmt_ms(0.0189), "18.9");
         assert_eq!(fmt_ms(0.00151), "1.51");
-        assert_eq!(fmt_speedup(44.53), "44.5x");
         assert_eq!(fmt_pct(0.916), "91.6%");
     }
 }

@@ -179,7 +179,6 @@ fn build_bases(report: &mut CorpusReport) -> Vec<Base> {
         });
     }
     report.artifacts = bases.len();
-    report.encodings = bases.len();
     bases
 }
 

@@ -15,28 +15,27 @@
 //!   | op payload (see LayerPlan)
 //! ```
 //!
-//! Version 4 (current) stamps a [`Precision`] on every step and adds
-//! INT8-quantized op payloads ([`LayerPlan::QuantPatternConv`],
-//! [`LayerPlan::QuantFc`]): i8 weight codes, per-filter dequantization
-//! scales, and the calibrated input-activation scale, so a quantized
-//! plan serves quantized with no calibration at load. The precision tag
-//! is validated against the op payload — a v4 buffer claiming `F32`
-//! over a quantized payload (or vice versa) is malformed. Version 3
-//! records a per-step [`ExecConfig`] — the auto-tuner's chosen
-//! optimization level, tile/unroll parameters and thread schedule
-//! (§5.5) — so a tuned artifact serves tuned without retuning at load.
-//! Version 2 encodes the explicit DAG plan: every step reads one or
-//! more buffer *slots* and writes one, slot 0 being the network input.
-//! Slot ids come from the compiler's liveness analysis
-//! ([`crate::compile`]), so two values whose live ranges do not overlap
-//! share a buffer. Version 1 artifacts (implicit chains, no topology)
-//! still decode: each record `i` is synthesized as reading slot `i` and
-//! writing slot `i + 1`, which is exactly the chain plan. Pre-v4
-//! artifacts decode every step to [`Precision::F32`] (and pre-v3 ones
-//! to [`ExecConfig::default`]), reproducing the older engine behavior
-//! bit for bit; the legacy encoders ([`ModelArtifact::encode_v3`] and
-//! older) refuse plans their version cannot represent with a typed
-//! error instead of silently dropping precision or tuning.
+//! Every step record carries its buffer slots, a [`Precision`] tag, the
+//! auto-tuner's [`ExecConfig`] (§5.5: optimization level, tile/unroll
+//! parameters, thread schedule) and, last, the convolution-algorithm
+//! tag, so a tuned or INT8-quantized plan serves as compiled with no
+//! retuning or calibration at load. Every step reads one or more buffer
+//! *slots* and writes one, slot 0 being the network input; slot ids come
+//! from the compiler's liveness analysis ([`crate::compile`]), so two
+//! values whose live ranges do not overlap share a buffer. The precision
+//! tag is checked against the op payload: a step claiming `F32` over an
+//! INT8 payload (or the reverse) never verifies.
+//!
+//! # Compatibility contract
+//!
+//! Write the current version ([`VERSION`], 5), read it and the one
+//! version before it ([`VERSION_V4`]). A v4 step record is the v5 record
+//! without the algorithm tag, and decodes to [`ConvAlgo::Direct`], the
+//! only lowering v4 knew. There is no v4 encoder: the repository is the
+//! only producer of artifacts, so the contract is pinned by a frozen v4
+//! byte fixture in the tests. Any other version field is refused with
+//! [`ArtifactError::UnsupportedVersion`]. The next format bump moves
+//! the window: it reads v5 and drops the v4 path.
 //!
 //! `f32` weights are stored as raw bit patterns, so a save → load round
 //! trip is bitwise lossless.
@@ -68,21 +67,17 @@ use patdnn_tensor::Tensor;
 
 /// File magic.
 pub const MAGIC: &[u8; 6] = b"PATDNN";
-/// Current format version (per-step convolution algorithm choice).
+/// Current format version (per-step convolution algorithm choice): the
+/// one [`ModelArtifact::encode`] writes.
 pub const VERSION: u16 = 5;
-/// The quantized format without per-step algorithm tags; still decodable.
+/// The version before [`VERSION`], without per-step algorithm tags: the
+/// oldest one [`ModelArtifact::decode`] reads.
 pub const VERSION_V4: u16 = 4;
-/// The tuned-plan format without precision tags; still decodable.
-pub const VERSION_V3: u16 = 3;
-/// The DAG format without execution configs; still decodable.
-pub const VERSION_V2: u16 = 2;
-/// The legacy chain format (no slot topology); still decodable.
-pub const VERSION_V1: u16 = 1;
 
 /// The numeric precision a plan step executes at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
-    /// Full-precision `f32` execution (every pre-v4 step).
+    /// Full-precision `f32` execution.
     F32,
     /// Symmetric INT8: i8 weights, i8 activations, i32 accumulation.
     Int8,
@@ -103,7 +98,8 @@ impl Precision {
 pub enum ArtifactError {
     /// The buffer does not start with the `PATDNN` magic.
     BadMagic,
-    /// The format version is newer than this build understands.
+    /// The format version is outside the ones this build reads
+    /// ([`VERSION_V4`] and [`VERSION`]).
     UnsupportedVersion(u16),
     /// The buffer ended before the structure was complete.
     Truncated,
@@ -121,7 +117,10 @@ impl fmt::Display for ArtifactError {
         match self {
             ArtifactError::BadMagic => write!(f, "not a PatDNN artifact (bad magic)"),
             ArtifactError::UnsupportedVersion(v) => {
-                write!(f, "unsupported artifact version {v} (max {VERSION})")
+                write!(
+                    f,
+                    "unsupported artifact version {v} (reads {VERSION_V4}..={VERSION})"
+                )
             }
             ArtifactError::Truncated => write!(f, "artifact truncated"),
             ArtifactError::Malformed(msg) => write!(f, "malformed artifact: {msg}"),
@@ -295,15 +294,15 @@ pub struct ExecConfig {
     /// Intra-layer CPU threads (1 = serial; >1 uses the runtime's
     /// FKR-balanced parallel schedule).
     pub threads: usize,
-    /// Which convolution lowering executes the step (v5 tag; pre-v5
+    /// Which convolution lowering executes the step (v5 tag; v4
     /// artifacts decode to [`ConvAlgo::Direct`]). Only meaningful on
     /// `f32` pattern-conv steps; every other op carries `Direct`.
     pub algo: ConvAlgo,
 }
 
 impl Default for ExecConfig {
-    /// The untuned configuration every pre-v3 artifact decodes to:
-    /// `OptLevel::Full` at the global tuned default, serial, direct.
+    /// The untuned configuration: `OptLevel::Full` at the global tuned
+    /// default, serial, direct.
     fn default() -> Self {
         ExecConfig {
             opt_level: OptLevel::Full,
@@ -382,9 +381,8 @@ pub struct PlanStep {
     pub output: usize,
     /// The executor configuration this step runs with.
     pub exec: ExecConfig,
-    /// The numeric precision this step executes at. Stamped into v4
-    /// artifacts and validated against the op payload; pre-v4 artifacts
-    /// decode every step to [`Precision::F32`].
+    /// The numeric precision this step executes at. Stamped into every
+    /// step record and validated against the op payload.
     pub precision: Precision,
 }
 
@@ -418,8 +416,8 @@ pub struct ModelArtifact {
 
 impl ModelArtifact {
     /// Builds a chain-plan artifact from a bare op list: step `i` reads
-    /// slot `i` and writes slot `i + 1`. This is the v1 layout and the
-    /// natural form for straight-line models and tests.
+    /// slot `i` and writes slot `i + 1`, the natural form for
+    /// straight-line models and tests.
     pub fn chain(name: &str, input: [usize; 3], ops: Vec<LayerPlan>) -> Self {
         let steps = ops
             .into_iter()
@@ -452,8 +450,8 @@ impl ModelArtifact {
             .sum()
     }
 
-    /// Whether the plan is a straight chain in v1 layout (step `i` reads
-    /// slot `i`, writes slot `i + 1`, no joins).
+    /// Whether the plan is a straight chain (step `i` reads slot `i`,
+    /// writes slot `i + 1`, no joins).
     pub fn is_chain(&self) -> bool {
         self.slots == self.steps.len() + 1
             && self
@@ -480,193 +478,30 @@ impl ModelArtifact {
         w.finish()
     }
 
-    /// Encodes the artifact in the v4 quantized layout (per-step
-    /// precision tags and exec configs but no algorithm choice). Fails
-    /// with a typed error if any step selects a non-direct convolution
-    /// lowering — v4 cannot represent algorithm-choice plans, and a
-    /// silently-lossy encode would break the codec's round-trip
-    /// invariant. Kept so the backward-compatibility path stays
-    /// testable against real v4 bytes.
-    pub fn encode_v4(&self) -> Result<Vec<u8>, ArtifactError> {
-        self.require_direct_algos("v4")?;
-        let mut w = ByteWriter::new();
-        w.bytes(MAGIC);
-        w.u16(VERSION_V4);
-        w.str(&self.name);
-        for d in self.input {
-            w.u32(d as u32);
-        }
-        w.u32(self.slots as u32);
-        w.u32(self.steps.len() as u32);
-        for step in &self.steps {
-            encode_step_topology(&mut w, step);
-            w.u8(match step.precision {
-                Precision::F32 => PRECISION_F32,
-                Precision::Int8 => PRECISION_INT8,
-            });
-            encode_exec_config(&mut w, &step.exec);
-            encode_op(&mut w, &step.op);
-        }
-        Ok(w.finish())
-    }
-
-    /// Encodes the artifact in the v3 tuned-plan layout (per-step exec
-    /// configs but no precision tags). Fails with a typed error if any
-    /// step is INT8-quantized or selects a non-direct convolution
-    /// lowering — v3 cannot represent reduced-precision payloads or
-    /// algorithm-choice plans, and a silently-lossy encode would break
-    /// the codec's round-trip invariant (mirroring the tuned-plan
-    /// refusal of the older encoders). Kept so the
-    /// backward-compatibility path stays testable against real v3
-    /// bytes.
-    pub fn encode_v3(&self) -> Result<Vec<u8>, ArtifactError> {
-        self.require_f32_steps("v3")?;
-        self.require_direct_algos("v3")?;
-        let mut w = ByteWriter::new();
-        w.bytes(MAGIC);
-        w.u16(VERSION_V3);
-        w.str(&self.name);
-        for d in self.input {
-            w.u32(d as u32);
-        }
-        w.u32(self.slots as u32);
-        w.u32(self.steps.len() as u32);
-        for step in &self.steps {
-            encode_step_topology(&mut w, step);
-            encode_exec_config(&mut w, &step.exec);
-            encode_op(&mut w, &step.op);
-        }
-        Ok(w.finish())
-    }
-
-    /// Encodes the artifact in the legacy v1 chain layout (no slot
-    /// topology, no execution configs). Fails unless
-    /// [`ModelArtifact::is_chain`] and every step carries the default
-    /// config at `f32` precision; kept so the backward-compatibility
-    /// path stays testable against real v1 bytes.
-    pub fn encode_v1(&self) -> Result<Vec<u8>, ArtifactError> {
-        self.require_f32_steps("v1")?;
-        if !self.is_chain() {
-            return Err(ArtifactError::Malformed(
-                "v1 cannot represent non-chain plans".into(),
-            ));
-        }
-        self.require_default_configs("v1")?;
-        let mut w = ByteWriter::new();
-        w.bytes(MAGIC);
-        w.u16(VERSION_V1);
-        w.str(&self.name);
-        for d in self.input {
-            w.u32(d as u32);
-        }
-        w.u32(self.steps.len() as u32);
-        for step in &self.steps {
-            if matches!(step.op, LayerPlan::Add { .. }) {
-                return Err(ArtifactError::Malformed("v1 has no add op".into()));
-            }
-            encode_op(&mut w, &step.op);
-        }
-        Ok(w.finish())
-    }
-
-    /// Encodes the artifact in the v2 DAG layout (slot topology but no
-    /// execution configs). Fails if any step carries a non-default
-    /// config or INT8 precision — v2 cannot represent tuned or
-    /// quantized plans, and a silently-lossy encode would break the
-    /// codec's round-trip invariant.
-    pub fn encode_v2(&self) -> Result<Vec<u8>, ArtifactError> {
-        self.require_f32_steps("v2")?;
-        self.require_default_configs("v2")?;
-        let mut w = ByteWriter::new();
-        w.bytes(MAGIC);
-        w.u16(VERSION_V2);
-        w.str(&self.name);
-        for d in self.input {
-            w.u32(d as u32);
-        }
-        w.u32(self.slots as u32);
-        w.u32(self.steps.len() as u32);
-        for step in &self.steps {
-            encode_step_topology(&mut w, step);
-            encode_op(&mut w, &step.op);
-        }
-        Ok(w.finish())
-    }
-
-    fn require_f32_steps(&self, version: &str) -> Result<(), ArtifactError> {
-        if let Some(i) = self
-            .steps
-            .iter()
-            .position(|s| s.precision != Precision::F32 || s.op.precision() != Precision::F32)
-        {
-            return Err(ArtifactError::Malformed(format!(
-                "{version} cannot represent int8-quantized steps (step {i} is {})",
-                self.steps[i].op.kind()
-            )));
-        }
-        Ok(())
-    }
-
-    fn require_direct_algos(&self, version: &str) -> Result<(), ArtifactError> {
-        if let Some(i) = self
-            .steps
-            .iter()
-            .position(|s| s.exec.algo != ConvAlgo::Direct)
-        {
-            return Err(ArtifactError::Malformed(format!(
-                "{version} cannot represent per-step algorithm choice (step {i} is {})",
-                self.steps[i].exec.algo.label()
-            )));
-        }
-        Ok(())
-    }
-
-    fn require_default_configs(&self, version: &str) -> Result<(), ArtifactError> {
-        if let Some(i) = self
-            .steps
-            .iter()
-            .position(|s| s.exec != ExecConfig::default())
-        {
-            return Err(ArtifactError::Malformed(format!(
-                "{version} cannot represent per-step exec configs (step {i} is tuned)"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Decodes an artifact from its binary form (v1 through v5).
+    /// Decodes an artifact from its binary form: [`VERSION`] or
+    /// [`VERSION_V4`] (see the module docs' compatibility contract).
     pub fn decode(buf: &[u8]) -> Result<Self, ArtifactError> {
         let mut r = ByteReader::new(buf);
         if r.bytes(MAGIC.len())? != MAGIC {
             return Err(ArtifactError::BadMagic);
         }
         let version = r.u16()?;
-        if version == 0 || version > VERSION {
+        if !(VERSION_V4..=VERSION).contains(&version) {
             return Err(ArtifactError::UnsupportedVersion(version));
         }
         let name = r.str()?;
         let input = [r.u32()? as usize, r.u32()? as usize, r.u32()? as usize];
-        let artifact = if version == VERSION_V1 {
-            // v1: bare op records form an implicit chain.
-            let count = r.u32()? as usize;
-            let mut ops = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                ops.push(decode_op(&mut r)?);
-            }
-            ModelArtifact::chain(&name, input, ops)
-        } else {
-            let slots = r.u32()? as usize;
-            let count = r.u32()? as usize;
-            let mut steps = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                steps.push(decode_step(&mut r, version)?);
-            }
-            ModelArtifact {
-                name,
-                input,
-                slots,
-                steps,
-            }
+        let slots = r.u32()? as usize;
+        let count = r.u32()? as usize;
+        let mut steps = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            steps.push(decode_step(&mut r, version)?);
+        }
+        let artifact = ModelArtifact {
+            name,
+            input,
+            slots,
+            steps,
         };
         if !r.is_empty() {
             return Err(ArtifactError::Malformed("trailing bytes".into()));
@@ -738,24 +573,20 @@ const TAG_QFC: u8 = 9;
 const PRECISION_F32: u8 = 0;
 const PRECISION_INT8: u8 = 1;
 
-fn encode_step_topology(w: &mut ByteWriter, step: &PlanStep) {
+fn encode_step(w: &mut ByteWriter, step: &PlanStep) {
     assert!(step.inputs.len() <= u8::MAX as usize, "step arity");
     w.u8(step.inputs.len() as u8);
     for &s in &step.inputs {
         w.u32(s as u32);
     }
     w.u32(step.output as u32);
-}
-
-fn encode_step(w: &mut ByteWriter, step: &PlanStep) {
-    encode_step_topology(w, step);
     w.u8(match step.precision {
         Precision::F32 => PRECISION_F32,
         Precision::Int8 => PRECISION_INT8,
     });
     encode_exec_config(w, &step.exec);
     // v5 appends the algorithm tag after the fixed-width exec record,
-    // so every pre-v5 byte offset is preserved.
+    // so a v4 step record is exactly this one without that byte.
     w.u8(algo_tag(step.exec.algo));
     encode_op(w, &step.op);
 }
@@ -767,30 +598,16 @@ fn decode_step(r: &mut ByteReader, version: u16) -> Result<PlanStep, ArtifactErr
         inputs.push(r.u32()? as usize);
     }
     let output = r.u32()? as usize;
-    // v3 predates precision tags; its steps decode to f32, which the
-    // topology validation cross-checks against the op payload (so a
-    // forged pre-v4 buffer cannot smuggle a quantized op in).
-    let precision = if version > VERSION_V3 {
-        match r.u8()? {
-            PRECISION_F32 => Precision::F32,
-            PRECISION_INT8 => Precision::Int8,
-            other => {
-                return Err(ArtifactError::Malformed(format!(
-                    "unknown precision tag {other}"
-                )))
-            }
+    let precision = match r.u8()? {
+        PRECISION_F32 => Precision::F32,
+        PRECISION_INT8 => Precision::Int8,
+        other => {
+            return Err(ArtifactError::Malformed(format!(
+                "unknown precision tag {other}"
+            )))
         }
-    } else {
-        Precision::F32
     };
-    // v2 predates per-step configs; its steps decode to the default.
-    // Gated on the fixed v2 boundary (not the floating current VERSION)
-    // so future format bumps keep reading v3's config bytes.
-    let mut exec = if version > VERSION_V2 {
-        decode_exec_config(r)?
-    } else {
-        ExecConfig::default()
-    };
+    let mut exec = decode_exec_config(r)?;
     // v4 predates per-step algorithm choice; its steps decode to the
     // direct FKW lowering.
     if version > VERSION_V4 {
@@ -878,7 +695,7 @@ fn decode_exec_config(r: &mut ByteReader) -> Result<ExecConfig, ArtifactError> {
         },
         threads: r.u16()? as usize,
         // The algorithm tag lives outside the fixed-width record (v5
-        // appends it); pre-v5 decodes keep the direct lowering.
+        // appends it); v4 decodes keep the direct lowering.
         algo: ConvAlgo::Direct,
     };
     // Bounds on tile/unroll/thread values are semantic, not wire-format:
@@ -1496,54 +1313,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_bytes_decode_into_the_chain_plan() {
-        let a = ModelArtifact::chain(
-            "legacy",
-            [1, 4, 4],
-            vec![
-                LayerPlan::MaxPool {
-                    kernel: 2,
-                    stride: 2,
-                    pad: 0,
-                },
-                LayerPlan::Flatten,
-            ],
-        );
-        let v1 = a.encode_v1().expect("chains encode as v1");
-        assert_eq!(u16::from_le_bytes([v1[6], v1[7]]), VERSION_V1);
-        let b = ModelArtifact::decode(&v1).expect("v1 decodes");
-        assert_eq!(a, b, "v1 decodes into the equivalent v2 chain plan");
-        // And the v2 re-encode of the decoded artifact round-trips.
-        assert_eq!(ModelArtifact::decode(&b.encode()).expect("v2"), a);
-    }
-
-    #[test]
-    fn encode_v1_rejects_dag_plans() {
-        let a = ModelArtifact {
-            name: "dag".into(),
-            input: [1, 4, 4],
-            slots: 3,
-            steps: vec![
-                PlanStep {
-                    op: LayerPlan::Relu,
-                    inputs: vec![0],
-                    output: 1,
-                    exec: ExecConfig::default(),
-                    precision: Precision::F32,
-                },
-                PlanStep {
-                    op: LayerPlan::Add { relu: false },
-                    inputs: vec![1, 0],
-                    output: 2,
-                    exec: ExecConfig::default(),
-                    precision: Precision::F32,
-                },
-            ],
-        };
-        assert!(matches!(a.encode_v1(), Err(ArtifactError::Malformed(_))));
-    }
-
-    #[test]
     fn aliasing_and_use_before_def_are_rejected() {
         // A step writing its own input slot.
         let aliased = ModelArtifact {
@@ -1632,10 +1401,32 @@ mod tests {
                 pad: 0,
             }],
         );
-        for bytes in [chain.encode(), chain.encode_v1().expect("v1")] {
+        for bytes in [&chain.encode()[..], &V4_TUNED_DIRECT_CHAIN[..]] {
             for cut in 0..bytes.len() {
-                let r = ModelArtifact::decode(&bytes[..cut]);
-                assert!(r.is_err(), "cut at {cut} must error");
+                assert!(
+                    matches!(
+                        ModelArtifact::decode(&bytes[..cut]),
+                        Err(ArtifactError::Truncated)
+                    ),
+                    "cut at {cut} of {} must fail as truncated",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn versions_outside_v4_and_v5_are_unsupported() {
+        for mut bytes in [two_step_chain().encode(), V4_TUNED_DIRECT_CHAIN.to_vec()] {
+            for version in [0u16, 1, 2, 3, 6] {
+                bytes[6..8].copy_from_slice(&version.to_le_bytes());
+                assert!(
+                    matches!(
+                        ModelArtifact::decode(&bytes),
+                        Err(ArtifactError::UnsupportedVersion(v)) if v == version
+                    ),
+                    "version {version} must be refused"
+                );
             }
         }
     }
@@ -1710,6 +1501,17 @@ mod tests {
         }
     }
 
+    /// The v4 encoding of [`two_step_chain`] with [`tuned_exec`] on
+    /// step 0 (its algorithm set to `Direct`, the only one v4
+    /// represents). The codec writes only v5, so these frozen bytes are
+    /// the v4 half of the v4 → v5 contract.
+    const V4_TUNED_DIRECT_CHAIN: [u8; 91] = [
+        80, 65, 84, 68, 78, 78, 4, 0, 1, 0, 116, 1, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 3, 0, 0, 0, 2,
+        0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 64, 0, 8, 0, 2, 0, 4, 0, 3, 0, 2, 2, 0, 0,
+        0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 0, 0, 3, 1, 1, 16, 0, 32, 0, 4, 0, 8, 0,
+        1, 0, 4,
+    ];
+
     fn two_step_chain() -> ModelArtifact {
         ModelArtifact::chain(
             "t",
@@ -1731,30 +1533,10 @@ mod tests {
         a.steps[0].exec = tuned_exec();
         let bytes = a.encode();
         assert_eq!(u16::from_le_bytes([bytes[6], bytes[7]]), VERSION);
-        let b = ModelArtifact::decode(&bytes).expect("v3 decodes");
+        let b = ModelArtifact::decode(&bytes).expect("decodes");
         assert_eq!(a, b, "per-step configs survive the round trip");
         assert_eq!(b.steps[0].exec, tuned_exec());
         assert_eq!(b.steps[1].exec, ExecConfig::default());
-    }
-
-    #[test]
-    fn v2_bytes_decode_with_default_exec_configs() {
-        let a = two_step_chain();
-        let v2 = a.encode_v2().expect("default-config plans encode as v2");
-        assert_eq!(u16::from_le_bytes([v2[6], v2[7]]), VERSION_V2);
-        let b = ModelArtifact::decode(&v2).expect("v2 decodes");
-        assert_eq!(a, b, "v2 decodes into the default-config plan");
-        assert!(b.steps.iter().all(|s| s.exec == ExecConfig::default()));
-        // And the v3 re-encode of the decoded artifact round-trips.
-        assert_eq!(ModelArtifact::decode(&b.encode()).expect("v3"), a);
-    }
-
-    #[test]
-    fn legacy_encoders_reject_tuned_plans() {
-        let mut a = two_step_chain();
-        a.steps[1].exec = tuned_exec();
-        assert!(matches!(a.encode_v2(), Err(ArtifactError::Malformed(_))));
-        assert!(matches!(a.encode_v1(), Err(ArtifactError::Malformed(_))));
     }
 
     #[test]
@@ -1775,26 +1557,19 @@ mod tests {
         let mut a = two_step_chain();
         a.steps[0].exec = tuned_exec();
         a.steps[0].exec.algo = ConvAlgo::Direct;
-        let v4 = a.encode_v4().expect("direct plans encode as v4");
+        let v4 = &V4_TUNED_DIRECT_CHAIN;
         assert_eq!(u16::from_le_bytes([v4[6], v4[7]]), VERSION_V4);
-        let b = ModelArtifact::decode(&v4).expect("v4 decodes");
+        let b = ModelArtifact::decode(v4).expect("v4 decodes");
         assert_eq!(a, b, "v4 decodes into the tuned direct plan");
         assert!(b.steps.iter().all(|s| s.exec.algo == ConvAlgo::Direct));
-        // And the current re-encode of the decoded artifact round-trips.
-        assert_eq!(ModelArtifact::decode(&b.encode()).expect("v5"), a);
-    }
-
-    #[test]
-    fn pre_v5_encoders_reject_algorithm_choice_with_typed_errors() {
-        let mut a = two_step_chain();
-        a.steps[1].exec.algo = ConvAlgo::Im2col;
-        for (version, result) in [("v4", a.encode_v4()), ("v3", a.encode_v3())] {
-            let err = result.expect_err("pre-v5 encoders must refuse algorithm choice");
-            assert!(
-                matches!(&err, ArtifactError::Malformed(msg) if msg.contains("algorithm")),
-                "{version}: got {err}"
-            );
-        }
+        // The v5 re-encode is the v4 stream with the version bumped and
+        // one `Direct` algorithm tag after each step's exec record.
+        let mut v5 = v4.to_vec();
+        v5[6] = 5;
+        v5.insert(FIRST_ALGO_OFFSET, 0);
+        v5.insert(v5.len() - 1, 0); // step 1 (flatten): exec record, tag, op tag
+        assert_eq!(b.encode(), v5);
+        assert_eq!(ModelArtifact::decode(&v5).expect("v5"), a);
     }
 
     /// First step's exec config starts right after magic(6), version(2),
@@ -1935,39 +1710,8 @@ mod tests {
         assert_eq!(a.steps[2].precision, Precision::Int8);
         let bytes = a.encode();
         assert_eq!(u16::from_le_bytes([bytes[6], bytes[7]]), VERSION);
-        let b = ModelArtifact::decode(&bytes).expect("v4 decodes");
+        let b = ModelArtifact::decode(&bytes).expect("decodes");
         assert_eq!(a, b, "quantized payloads survive the round trip");
-    }
-
-    #[test]
-    fn v3_bytes_decode_with_f32_precision() {
-        let mut a = two_step_chain();
-        a.steps[0].exec = tuned_exec();
-        // v3 predates per-step algorithm choice: only direct plans encode.
-        a.steps[0].exec.algo = ConvAlgo::Direct;
-        let v3 = a.encode_v3().expect("f32 plans encode as v3");
-        assert_eq!(u16::from_le_bytes([v3[6], v3[7]]), VERSION_V3);
-        let b = ModelArtifact::decode(&v3).expect("v3 decodes");
-        assert_eq!(a, b, "v3 decodes into the tuned f32 plan");
-        assert!(b.steps.iter().all(|s| s.precision == Precision::F32));
-        // And the v4 re-encode of the decoded artifact round-trips.
-        assert_eq!(ModelArtifact::decode(&b.encode()).expect("v4"), a);
-    }
-
-    #[test]
-    fn legacy_encoders_refuse_quantized_plans() {
-        let a = quantized_artifact(52);
-        for (version, result) in [
-            ("v3", a.encode_v3()),
-            ("v2", a.encode_v2()),
-            ("v1", a.encode_v1()),
-        ] {
-            let err = result.expect_err("legacy encoders must refuse int8 steps");
-            assert!(
-                matches!(&err, ArtifactError::Malformed(msg) if msg.contains("int8")),
-                "{version}: got {err}"
-            );
-        }
     }
 
     #[test]

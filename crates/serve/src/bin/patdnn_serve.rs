@@ -13,9 +13,9 @@
 //! With `--precision int8` the compiled plan is additionally quantized:
 //! activation ranges are calibrated on a small sample batch
 //! ([`patdnn_nn::calibrate`]), every pattern conv and the FC head get
-//! symmetric per-filter INT8 weights, and the v4 artifact persists the
-//! per-step precision so the reloaded engine serves quantized with no
-//! recalibration.
+//! symmetric per-filter INT8 weights, and the artifact (format v5)
+//! persists the per-step precision so the reloaded engine serves
+//! quantized with no recalibration.
 //!
 //! Traffic is submitted through the request-lifecycle API
 //! ([`patdnn_serve::request`]): `--priority` picks the scheduling

@@ -36,8 +36,9 @@
 //!   weights plus layer geometry, slot topology, per-step execution
 //!   configs, per-step precision, and per-step algorithm choice
 //!   (format v5), save/load without retraining, re-pruning, retuning
-//!   or recalibrating; legacy v1–v4 artifacts still decode (default
-//!   configs, f32 precision, direct algorithm).
+//!   or recalibrating. The compatibility contract: write v5, read v5
+//!   and v4 (whose steps decode to the direct algorithm); any other
+//!   version is refused with a typed error.
 //! - [`mod@verify`] — the plan verifier: one static pass of abstract
 //!   interpretation over a decoded artifact proving every semantic
 //!   invariant (slot lifetimes, shape dataflow, FKW index bounds, i32

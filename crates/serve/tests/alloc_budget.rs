@@ -240,6 +240,25 @@ fn warm_engines_stay_within_the_response_envelope() {
             );
         }
     }
+    // The direct lowering reads its FKW arrays in place and packs only
+    // the FC panels; forcing `Im2col` also packs a dense panel per conv,
+    // so the same weights must cost more packed bytes.
+    let direct = pruned_engine(
+        vgg_small(10, &mut Rng::seed_from(52)),
+        "vgg_direct",
+        Precision::F32,
+    );
+    let im2col = dense_tile_engine(
+        vgg_small(10, &mut Rng::seed_from(52)),
+        "vgg_im2col",
+        Some(3.6),
+    );
+    assert!(
+        im2col.packed_weight_bytes() > direct.packed_weight_bytes(),
+        "forced im2col packs {} B, all-direct {} B",
+        im2col.packed_weight_bytes(),
+        direct.packed_weight_bytes()
+    );
     // Densified lowerings (im2col + Winograd) pool their scratch too.
     let dense = warm_allocation_count_densified(vgg_small(10, &mut rng), "vgg_densified");
     assert!(

@@ -179,75 +179,8 @@ fn vgg_small_compiles_and_serves_from_reloaded_artifact() {
     );
 }
 
-/// Backward compatibility: a chain model encoded in the legacy v1
-/// layout decodes into the current plan representation and infers
-/// bit-identically to the engine built from the current encoding.
-#[test]
-fn cross_version_v1_chain_artifact_infers_bit_identically() {
-    let mut rng = Rng::seed_from(31);
-    let mut net = vgg_small(10, &mut rng);
-    pattern_project_network(&mut net, 8, 3.6);
-    let artifact = compile_network("legacy", &net, [3, 32, 32]).expect("compiles");
-    assert!(artifact.is_chain(), "vgg_small is a chain model");
-
-    let v1_bytes = artifact.encode_v1().expect("chains encode as v1");
-    let from_v1 = ModelArtifact::decode(&v1_bytes).expect("v1 decodes");
-    assert_eq!(artifact, from_v1, "v1 decodes into the current chain plan");
-
-    let engine_now = Engine::new(artifact, EngineOptions::default()).expect("current engine");
-    let engine_v1 = Engine::new(from_v1, EngineOptions::default()).expect("v1 engine");
-    for batch in [1usize, 4] {
-        let x = Tensor::randn(&[batch, 3, 32, 32], &mut rng);
-        let a = engine_now.infer(&x).expect("current infer");
-        let b = engine_v1.infer(&x).expect("v1 infer");
-        let bits_a: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-        let bits_b: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            bits_a, bits_b,
-            "batch {batch}: outputs must be bit-identical"
-        );
-    }
-}
-
-/// Backward compatibility: a DAG model encoded in the v2 layout (no
-/// exec configs) decodes in the current build with default configs and
-/// infers bit-identically to a freshly compiled default plan.
-#[test]
-fn cross_version_v2_artifact_infers_bit_identically() {
-    let mut rng = Rng::seed_from(33);
-    let mut net = patdnn_nn::models::resnet_small(10, &mut rng);
-    pattern_project_network(&mut net, 8, 3.6);
-    let artifact = compile_network("v2compat", &net, [3, 32, 32]).expect("compiles");
-    assert!(!artifact.is_chain(), "resnet_small is a DAG model");
-
-    let v2_bytes = artifact.encode_v2().expect("default plans encode as v2");
-    let from_v2 = ModelArtifact::decode(&v2_bytes).expect("v2 decodes");
-    assert_eq!(artifact, from_v2, "v2 decodes into the default-config plan");
-    assert!(
-        from_v2
-            .steps
-            .iter()
-            .all(|s| s.exec == patdnn_serve::ExecConfig::default()),
-        "v2 steps decode to the default exec config"
-    );
-
-    let engine_now = Engine::new(artifact, EngineOptions::default()).expect("current engine");
-    let engine_v2 = Engine::new(from_v2, EngineOptions::default()).expect("v2 engine");
-    for batch in [1usize, 3] {
-        let x = Tensor::randn(&[batch, 3, 32, 32], &mut rng);
-        let a = engine_now.infer(&x).expect("current infer");
-        let b = engine_v2.infer(&x).expect("v2 infer");
-        let bits_a: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-        let bits_b: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            bits_a, bits_b,
-            "batch {batch}: outputs must be bit-identical"
-        );
-    }
-}
-
 /// The tuned-plan pipeline end to end: `Estimate` compiles per-layer
-/// exec configs, the v3 artifact round-trips them intact, and the
+/// exec configs, the artifact round-trips them intact, and the
 /// reloaded engine serves without retuning, numerically equivalent to
 /// the default plan.
 #[test]
@@ -284,9 +217,9 @@ fn tuned_artifact_serves_tuned_without_retuning() {
         "estimated configs must be non-uniform across layers"
     );
 
-    // v3 round trip preserves every step's config; the same compile is
+    // The round trip preserves every step's config; the same compile is
     // reproducible (tuning is deterministic under Estimate).
-    let reloaded = ModelArtifact::decode(&tuned_plan.encode()).expect("v3 round trip");
+    let reloaded = ModelArtifact::decode(&tuned_plan.encode()).expect("round trip");
     assert_eq!(tuned_plan, reloaded, "per-step configs survive the codec");
 
     // Tuned and default plans agree numerically with the nn reference.
@@ -304,72 +237,21 @@ fn tuned_artifact_serves_tuned_without_retuning() {
     assert!(default_out.approx_eq(&tuned_out, 1e-4));
 }
 
-/// Backward compatibility: a tuned plan encoded in the v3 layout (exec
-/// configs but no precision tags) decodes in the current build with
-/// every step at f32 precision and infers bit-identically to the v4
-/// encoding of the same plan.
+/// The INT8 path through the codec: a quantized artifact round-trips
+/// structurally equal and the reloaded plan infers bit-identically.
+/// (Reading v4 bytes is pinned by the codec's frozen v4 fixture,
+/// `artifact::tests::v4_bytes_decode_with_direct_algos`.)
 #[test]
-fn cross_version_v3_artifact_infers_bit_identically() {
-    use patdnn_serve::compile::{compile_network_with, CompileOptions};
-    use patdnn_serve::{Precision, TunePolicy};
-
-    let mut rng = Rng::seed_from(34);
-    let mut net = patdnn_nn::models::resnet_small(10, &mut rng);
-    pattern_project_network(&mut net, 8, 3.6);
-    let mut artifact = compile_network_with(
-        "v3compat",
-        &net,
-        [3, 32, 32],
-        &CompileOptions {
-            tune: TunePolicy::Estimate,
-            ..CompileOptions::default()
-        },
-    )
-    .expect("compiles tuned");
-    // v3 predates per-step algorithm choice: the layout can only carry
-    // direct plans (the encoder refuses anything else with a typed
-    // error), so normalize the tuned plan before the round trip.
-    for step in &mut artifact.steps {
-        step.exec.algo = patdnn_compiler::tune::space::ConvAlgo::Direct;
-    }
-
-    let v3_bytes = artifact.encode_v3().expect("f32 plans encode as v3");
-    let from_v3 = ModelArtifact::decode(&v3_bytes).expect("v3 decodes");
-    assert_eq!(artifact, from_v3, "v3 decodes into the tuned plan");
-    assert!(
-        from_v3.steps.iter().all(|s| s.precision == Precision::F32),
-        "v3 steps decode to f32 precision"
-    );
-
-    let engine_now = Engine::new(artifact, EngineOptions::default()).expect("current engine");
-    let engine_v3 = Engine::new(from_v3, EngineOptions::default()).expect("v3 engine");
-    for batch in [1usize, 3] {
-        let x = Tensor::randn(&[batch, 3, 32, 32], &mut rng);
-        let a = engine_now.infer(&x).expect("current infer");
-        let b = engine_v3.infer(&x).expect("v3 infer");
-        let bits_a: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-        let bits_b: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            bits_a, bits_b,
-            "batch {batch}: outputs must be bit-identical"
-        );
-    }
-}
-
-/// The INT8 path across the version boundary: a quantized v4 artifact
-/// round-trips bit-identically, and every legacy encoder refuses it
-/// with a typed error instead of silently dropping precision.
-#[test]
-fn cross_version_quantized_v4_round_trips_and_legacy_encoders_refuse() {
+fn quantized_artifact_round_trips_and_infers_bit_identically() {
     use patdnn_serve::quant::compile_network_int8;
-    use patdnn_serve::{ArtifactError, CompileOptions, Precision};
+    use patdnn_serve::{CompileOptions, Precision};
 
     let mut rng = Rng::seed_from(36);
     let mut net = patdnn_nn::models::resnet_small(10, &mut rng);
     pattern_project_network(&mut net, 8, 3.6);
     let calib = patdnn_nn::calibrate::calibration_batch([3, 32, 32], 4, 37);
     let artifact =
-        compile_network_int8("qv4", &net, [3, 32, 32], &CompileOptions::default(), &calib)
+        compile_network_int8("qrt", &net, [3, 32, 32], &CompileOptions::default(), &calib)
             .expect("quantized compile");
     assert!(
         artifact
@@ -379,8 +261,8 @@ fn cross_version_quantized_v4_round_trips_and_legacy_encoders_refuse() {
         "plan carries int8 steps"
     );
 
-    // v4 round trip: structurally equal, bit-identical inference.
-    let reloaded = ModelArtifact::decode(&artifact.encode()).expect("v4 decodes");
+    // Round trip: structurally equal, bit-identical inference.
+    let reloaded = ModelArtifact::decode(&artifact.encode()).expect("decodes");
     assert_eq!(artifact, reloaded);
     let engine_a = Engine::new(artifact.clone(), EngineOptions::default()).expect("engine");
     let engine_b = Engine::new(reloaded, EngineOptions::default()).expect("engine");
@@ -389,19 +271,6 @@ fn cross_version_quantized_v4_round_trips_and_legacy_encoders_refuse() {
     let bits_a: Vec<u32> = out_a.data().iter().map(|v| v.to_bits()).collect();
     let bits_b: Vec<u32> = out_b.data().iter().map(|v| v.to_bits()).collect();
     assert_eq!(bits_a, bits_b, "reloaded quantized plan infers identically");
-
-    // Legacy encoders refuse with the typed precision error.
-    for (version, result) in [
-        ("v3", artifact.encode_v3()),
-        ("v2", artifact.encode_v2()),
-        ("v1", artifact.encode_v1()),
-    ] {
-        let err = result.expect_err("legacy encoders must refuse int8 plans");
-        assert!(
-            matches!(&err, ArtifactError::Malformed(msg) if msg.contains("int8")),
-            "{version}: got {err}"
-        );
-    }
 }
 
 /// A quantized model served through the dynamic-batching server:

@@ -14,8 +14,9 @@
 //! - [`serve`] — compiled-model engine, model artifacts, dynamic
 //!   batching, and the serving front-end.
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every table and figure.
+//! See `DESIGN.md` for the system inventory and DESIGN.md §2 for the
+//! paper-vs-measured record of every table and figure; serving
+//! performance is measured by the repo benchmark (`benchmark/README.md`).
 //!
 //! # Examples
 //!
